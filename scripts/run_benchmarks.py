@@ -8,6 +8,7 @@ minutes of runtime.
 Usage: python scripts/run_benchmarks.py [outdir]
 """
 
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -31,6 +32,9 @@ if __name__ == "__main__":
     with tempfile.NamedTemporaryFile("w", suffix=".conf", delete=False) as fh:
         fh.write(CONFIG)
         config_path = fh.name
-    code = main(["bench", "run", "--config", config_path, "--out", outdir])
+    try:
+        code = main(["bench", "run", "--config", config_path, "--out", outdir])
+    finally:
+        os.unlink(config_path)
     print(f"artifacts in {Path(outdir).resolve()}")
     sys.exit(code)

@@ -8,6 +8,7 @@ against the virtual-force and PSO baselines over 10 paired seeds. Artifacts
 Usage: python scripts/run_headline.py [outdir]
 """
 
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -34,6 +35,9 @@ if __name__ == "__main__":
     with tempfile.NamedTemporaryFile("w", suffix=".conf", delete=False) as fh:
         fh.write(CONFIG)
         config_path = fh.name
-    code = main(["cover", "run", "--config", config_path, "--out", outdir])
+    try:
+        code = main(["cover", "run", "--config", config_path, "--out", outdir])
+    finally:
+        os.unlink(config_path)
     print(f"artifacts in {Path(outdir).resolve()}")
     sys.exit(code)

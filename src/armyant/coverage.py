@@ -9,9 +9,34 @@ sensor senses its centroid. Membership is decided on centroids only.
 The sensing test is phrased angularly: a point is sensed when it lies
 within range and the bearing from sensor to point deviates from the
 sensing direction by at most half the view angle. This is equivalent to
-the dot-product form but keeps exact boundary equalities honest, and the
-pruned evaluator reuses the identical arithmetic so pruning never changes
-a result.
+the dot-product form but keeps exact boundary equalities honest.
+
+The reference path (``is_sensed``, ``coverage_naive``) reduces the
+difference ``bearing - theta`` with ``np.mod``. The pruned evaluator
+reduces it with two conditional ``+2*pi`` adds instead, which give the
+same doubles, so pruning never changes a result. Write P for
+``TWO_PI`` = fl(2*pi); fl(pi) = P/2 exactly. Precondition: the bearing
+lies in [-P/2, P/2] (the range of ``arctan2``) and theta in [0, P) (the
+evaluator canonicalizes first), so x = fl(bearing - theta) lies in
+(-2P, P/2]. ``np.mod(x, P)`` takes the exact remainder r = fmod(x, P)
+and returns fl(r + P) when r < 0, +0.0 when r is zero, and r otherwise.
+
+- x >= 0: x < P, so np.mod returns x, and neither add fires.
+- -P <= x < 0: r = x, or r = -0.0 at x = -P. Both paths return
+  fl(x + P), which is not negative, so the second add does not fire.
+- -2P < x < -P: r = x + P. The first add computes x + P exactly by
+  the Sterbenz lemma, since P < -x < 2P (Goldberg 1991, "What every
+  computer scientist should know about floating-point arithmetic").
+  The sum is negative, so the second add returns fl((x + P) + P),
+  which is np.mod's result.
+
+The one difference is the sign of a zero: x = -0.0 (bearing -0.0, theta
++0.0) stays -0.0 where np.mod returns +0.0. The ``<=``/``>=`` tests cannot
+tell the two apart, and the evaluator's bearings are never -0.0 (a
+centroid's y offset from a sensor is never -0.0).
+
+An evaluator owns scratch buffers that every evaluation overwrites, so
+one evaluator must not be called concurrently from several threads.
 """
 
 import csv
@@ -110,9 +135,28 @@ class CoverageResult:
 
 
 def _in_sector(dist, bearing, theta, half_angle):
-    """Sensing test shared by every evaluation path (scalar or vector)."""
+    """Reference sensing test of ``is_sensed`` and ``coverage_naive``.
+
+    Scalar or vector. Reduces with ``np.mod``, so it stays an independent
+    oracle for ``CoverageEvaluator``, which reduces with two conditional
+    ``+2*pi`` adds. For bearings in [-pi, pi] and theta in [0, 2*pi) the
+    two give the same doubles, the first add being exact by the Sterbenz
+    lemma (Goldberg 1991); the module docstring has the proof.
+    """
     diff = np.mod(bearing - theta, TWO_PI)
     return (dist == 0.0) | (diff <= half_angle) | (diff >= TWO_PI - half_angle)
+
+
+def _reduce_angle(diff, spare):
+    """In place, ``diff = np.mod(diff, TWO_PI)`` for ``diff = bearing - theta``.
+
+    Two conditional ``+2*pi`` adds, exact under the precondition of the
+    module docstring; ``spare`` is a bool buffer of the same shape.
+    """
+    for _ in range(2):
+        np.less(diff, 0.0, out=spare)
+        np.add(diff, TWO_PI, out=diff, where=spare)
+    return diff
 
 
 def is_sensed(sensor, point):
@@ -145,47 +189,79 @@ def candidate_grids(sensor, field):
 class CoverageEvaluator:
     """Coverage of fixed sensor positions as a function of deviation angles.
 
-    Candidate grids, bearings and distances are precomputed per sensor and
-    flattened, so each evaluation is a handful of vectorized passes over
-    roughly sum-of-candidate-counts elements instead of sensors x grids.
+    Candidate grids, bearings and zero-distance flags are precomputed per
+    sensor and flattened, so each evaluation is a handful of vectorized
+    passes over roughly sum-of-candidate-counts elements instead of
+    sensors x grids. The passes reduce ``bearing - theta`` (bearing in
+    [-pi, pi], theta canonicalized into [0, 2*pi)) with two conditional
+    ``+2*pi`` adds, which equal ``np.mod`` bit for bit (Sterbenz lemma,
+    Goldberg 1991; the module docstring has the proof). They write into
+    scratch buffers allocated at build; an evaluation allocates only the
+    grid indices of the sensed entries and the returned mask. One
+    evaluator must not be called concurrently from several threads (it
+    owns scratch buffers).
+
+    ``per_sensor[i]`` holds views of sensor i's candidate grid indices,
+    bearings and zero-distance flags.
     """
 
     def __init__(self, sensors, field):
         self.sensors = list(sensors)
         self.field = field
         self.grid_count = field.grid_count
-        idx_parts, bear_parts, zero_parts, owner_parts, half_parts = [], [], [], [], []
-        self.per_sensor = []
-        for s_i, sensor in enumerate(self.sensors):
+        idx_parts, bear_parts, zero_parts = [], [], []
+        for sensor in self.sensors:
             idx = candidate_grids(sensor, field)
             dx = field.centroids[idx, 0] - sensor.x
             dy = field.centroids[idx, 1] - sensor.y
-            dist = np.hypot(dx, dy)
-            bearing = np.arctan2(dy, dx)
-            self.per_sensor.append((idx, dist, bearing))
             idx_parts.append(idx)
-            bear_parts.append(bearing)
-            zero_parts.append(dist == 0.0)
-            owner_parts.append(np.full(idx.size, s_i, dtype=np.intp))
-            half_parts.append(np.full(idx.size, sensor.view_angle / 2.0))
+            bear_parts.append(np.arctan2(dy, dx))
+            zero_parts.append(np.hypot(dx, dy) == 0.0)
         self._idx = np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=np.intp)
         self._bearing = np.concatenate(bear_parts) if bear_parts else np.empty(0)
         self._zero = np.concatenate(zero_parts) if zero_parts else np.empty(0, dtype=bool)
-        self._owner = np.concatenate(owner_parts) if owner_parts else np.empty(0, dtype=np.intp)
-        self._half = np.concatenate(half_parts) if half_parts else np.empty(0)
+        counts = [idx.size for idx in idx_parts]
+        ends = np.cumsum(counts, dtype=np.intp).tolist()
+        self._parts = [slice(e - c, e) for c, e in zip(counts, ends)]
+        self.per_sensor = [(self._idx[p], self._bearing[p], self._zero[p]) for p in self._parts]
+        self._owner = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+        self._half = np.repeat([s.view_angle / 2.0 for s in self.sensors], counts)
+        self._upper = TWO_PI - self._half
+        entries = self._idx.size
+        self._diff = np.empty(entries)
+        self._hit = np.empty(entries, dtype=bool)
+        self._spare = np.empty(entries, dtype=bool)
+
+    def _sense(self, part, theta):
+        """Sensed flags of the entries in slice ``part`` at angles ``theta``.
+
+        Returns a view of the scratch buffers, valid until the next call.
+        """
+        diff, hit, spare = self._diff[part], self._hit[part], self._spare[part]
+        np.subtract(self._bearing[part], theta, out=diff)
+        _reduce_angle(diff, spare)
+        np.less_equal(diff, self._half[part], out=hit)
+        np.greater_equal(diff, self._upper[part], out=spare)
+        hit |= spare
+        hit |= self._zero[part]
+        return hit
 
     def sensed_subset(self, sensor_index, theta):
         """Mask over sensor_index's candidate grids sensed at angle theta."""
-        idx, dist, bearing = self.per_sensor[sensor_index]
         theta = float(canonicalize_angle(theta))
-        return _in_sector(dist, bearing, theta, self.sensors[sensor_index].view_angle / 2.0)
+        return self._sense(self._parts[sensor_index], theta).copy()
 
     def covered_mask(self, angles):
+        """Fresh grid-sized mask of the grids covered at the given angles."""
         # canonicalizing first makes theta = 2*pi and theta = 0 evaluate
         # identically down to the float boundary cases
         angles = np.asarray(canonicalize_angle(np.asarray(angles, dtype=float)))
-        diff = np.mod(self._bearing - angles[self._owner], TWO_PI)
-        sensed = self._zero | (diff <= self._half) | (diff >= TWO_PI - self._half)
+        if angles.shape != (len(self.sensors),):
+            raise ValueError("need exactly one angle per sensor")
+        # indices are in range, so mode="wrap" changes nothing and, unlike
+        # the default mode, writes straight into the buffer
+        np.take(angles, self._owner, out=self._diff, mode="wrap")
+        sensed = self._sense(slice(None), self._diff)
         covered = np.zeros(self.grid_count, dtype=bool)
         covered[self._idx[sensed]] = True
         return covered

@@ -63,7 +63,7 @@ def _rates_from_history(history, grid_count):
 
 
 def enhance_aaso(sensors, field, config=None, rng=None):
-    """Army ant search over the wrapped angle space."""
+    """Army ant search over the clamped angle box [0, 2*pi]^D."""
     start = time.perf_counter()
     sensors = list(sensors)
     if not sensors:
@@ -90,7 +90,7 @@ def enhance_aaso(sensors, field, config=None, rng=None):
 
 
 def enhance_pso(sensors, field, params=None, rng=None):
-    """Inertia-weight PSO baseline over the same wrapped angle space."""
+    """Inertia-weight PSO baseline over the same clamped angle box."""
     start = time.perf_counter()
     sensors = list(sensors)
     if not sensors:
@@ -157,7 +157,7 @@ def enhance_vfa(sensors, field, params=None, rng=None):
     sensed_cache = []
     evaluations = 0
     for i in range(n):
-        idx, _, _ = evaluator.per_sensor[i]
+        idx = evaluator.per_sensor[i][0]
         sensed = idx[evaluator.sensed_subset(i, thetas[i])]
         counts[sensed] += 1
         sensed_cache.append(sensed)
@@ -171,9 +171,9 @@ def enhance_vfa(sensors, field, params=None, rng=None):
 
     for _ in range(params.max_iters):
         for i in range(n):
-            idx, dist, bearing = evaluator.per_sensor[i]
+            idx, bearing, zero = evaluator.per_sensor[i]
             torque = 0.0
-            uncovered = (counts[idx] == 0) & (dist > 0.0)
+            uncovered = (counts[idx] == 0) & ~zero
             if np.any(uncovered):
                 vx = float(np.sum(np.cos(bearing[uncovered])))
                 vy = float(np.sum(np.sin(bearing[uncovered])))

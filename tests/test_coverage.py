@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from armyant.coverage import (
+    TWO_PI,
     CoverageEvaluator,
     CoverageField,
     DeploymentScheme,
@@ -15,11 +16,13 @@ from armyant.coverage import (
     coverage,
     coverage_naive,
     expected_initial_coverage,
+    is_sensed,
     random_deployment,
     read_deployment,
     required_nodes,
     with_deviations,
     write_deployment,
+    _reduce_angle,
 )
 from armyant.rng import RandomSource
 
@@ -336,3 +339,117 @@ def test_evaluator_matches_oneshot_coverage():
     angles = np.array([s.deviation for s in sensors])
     assert ev.covered_count(angles) == coverage(sensors, field).covered_count
     assert ev.rate(angles) == coverage(sensors, field).rate
+
+
+# --- exact two-add reduction (module docstring) ----------------------------------------
+
+def reduce_bits(bearing, theta):
+    """Bits of the evaluator's reduction and of np.mod for bearing - theta."""
+    diff = np.asarray(bearing, dtype=float) - np.asarray(theta, dtype=float)
+    ref = np.mod(diff, TWO_PI)
+    got = _reduce_angle(diff.copy(), np.empty(diff.shape, dtype=bool))
+    # the one documented difference: a zero keeps its sign; + 0.0 folds -0.0 into +0.0
+    return (got + 0.0).view(np.uint64), ref.view(np.uint64)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.floats(-PI, PI), st.floats(0.0, TWO_PI, exclude_max=True)),
+                min_size=1, max_size=50))
+def test_reduction_equals_np_mod_bitwise(pairs):
+    bearing, theta = np.array(pairs).T
+    got, ref = reduce_bits(bearing, theta)
+    assert np.array_equal(got, ref)
+
+
+ULP_PI = np.spacing(PI)
+
+
+@pytest.mark.parametrize("bearing", [PI, -PI, 0.0, -0.0, 1.0, -2.5])
+@pytest.mark.parametrize("theta", [0.0, np.nextafter(TWO_PI, 0.0), PI, 1e-300])
+def test_reduction_boundary_angles(bearing, theta):
+    got, ref = reduce_bits([bearing], [theta])
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("theta,target", [
+    (PI, -TWO_PI),
+    (PI + 2 * ULP_PI, np.nextafter(-TWO_PI, -np.inf)),
+    (PI - 2 * ULP_PI, np.nextafter(-TWO_PI, 0.0)),
+])
+def test_reduction_around_minus_two_pi(theta, target):
+    assert -PI - theta == target
+    got, ref = reduce_bits([-PI], [theta])
+    assert np.array_equal(got, ref)
+
+
+def test_reduction_keeps_sign_of_negative_zero():
+    diff = np.array([-0.0 - 0.0])
+    _reduce_angle(diff, np.empty(1, dtype=bool))
+    assert math.copysign(1.0, diff[0]) == -1.0
+    assert np.mod(-0.0 - 0.0, TWO_PI) == diff[0] == 0.0  # same value: <= and >= agree
+
+
+LATTICE = CoverageField(40, 40, 5)  # centroids at 2.5 + 5k
+
+
+@pytest.mark.parametrize("view_angle", [PI / 2, PI, 2 * PI])
+@pytest.mark.parametrize("theta", [0.0, np.nextafter(TWO_PI, 0.0), TWO_PI, PI, PI / 4, 3 * PI / 2])
+def test_evaluator_boundary_cases_match_reference(view_angle, theta):
+    # sensors on centroids (a dist == 0 entry, bearings of exactly 0, pi/2, pi
+    # and the diagonals) and between them
+    sensors = [
+        Sensor(17.5, 17.5, 12.0, view_angle, 0.0),
+        Sensor(20.0, 22.5, 9.0, view_angle, 0.0),
+        Sensor(2.5, 37.5, 15.0, view_angle, 0.0),
+    ]
+    angles = np.full(len(sensors), theta)
+    ev = CoverageEvaluator(sensors, LATTICE)
+    reference = coverage_naive(with_deviations(sensors, angles), LATTICE).covered
+    assert np.array_equal(ev.covered_mask(angles), reference)
+    assert np.array_equal(ev.covered_mask(angles), ev.covered_mask(canonicalize_angle(angles)))
+    for i, sensor in enumerate(with_deviations(sensors, angles)):
+        idx = ev.per_sensor[i][0]
+        expected = [is_sensed(sensor, LATTICE.centroids[g]) for g in idx]
+        assert ev.sensed_subset(i, theta).tolist() == expected
+    if view_angle == 2 * PI:
+        assert all(ev.sensed_subset(i, theta).all() for i in range(len(sensors)))
+
+
+def test_evaluator_zero_distance_entry_is_sensed_backwards():
+    sensor = Sensor(17.5, 17.5, 6.0, 0.2, 0.0)  # on a centroid, others off-axis
+    ev = CoverageEvaluator([sensor], LATTICE)
+    idx, _, zero = ev.per_sensor[0]
+    assert zero.tolist().count(True) == 1
+    for theta in (0.0, PI, 4.0):
+        assert ev.covered_mask([theta])[idx[zero]].all()
+        assert ev.sensed_subset(0, theta)[zero].all()
+
+
+# --- evaluator results do not alias its scratch buffers ----------------------------------
+
+def test_covered_mask_result_survives_later_calls():
+    field = CoverageField(100, 100, 5)
+    sensors = random_deployment(field, 6, 30.0, PI / 2, RandomSource(8))
+    ev = CoverageEvaluator(sensors, field)
+    first = ev.covered_mask(np.zeros(6))
+    snapshot = first.copy()
+    subset = ev.sensed_subset(0, 0.0)
+    subset_snapshot = subset.copy()
+    second = ev.covered_mask(np.full(6, PI))
+    ev.sensed_subset(0, PI)
+    assert not np.array_equal(first, second)
+    assert np.array_equal(first, snapshot)
+    assert np.array_equal(subset, subset_snapshot)
+
+    result = coverage(sensors, field)
+    kept = result.covered.copy()
+    coverage(with_deviations(sensors, np.full(6, PI)), field)
+    assert np.array_equal(result.covered, kept)
+
+
+def test_covered_mask_needs_one_angle_per_sensor():
+    field = CoverageField(50, 50, 5)
+    ev = CoverageEvaluator(random_deployment(field, 3, 20.0, PI / 2, RandomSource(2)), field)
+    for angles in (np.zeros(2), np.zeros(4)):
+        with pytest.raises(ValueError):
+            ev.covered_mask(angles)
