@@ -10,7 +10,6 @@ from .coverage import (
     CoverageResult,
     DeploymentScheme,
     Sensor,
-    cepw_fitness,
     coverage,
     expected_initial_coverage,
     random_deployment,
@@ -20,12 +19,11 @@ from .enhance import EnhancementRun, VFAParams, enhance_aaso, enhance_pso, enhan
 from .harness import RunStatistics, compare
 from .optimizer import Ant, OptimizerConfig, PreyArchive, RunResult, run
 from .rng import RandomSource
-from .space import BoundaryPolicy, SearchSpace
+from .space import SearchSpace
 
 __all__ = [
     "Ant",
     "BenchmarkFunction",
-    "BoundaryPolicy",
     "CoverageEvaluator",
     "CoverageField",
     "CoverageResult",
@@ -40,7 +38,6 @@ __all__ = [
     "SearchSpace",
     "Sensor",
     "VFAParams",
-    "cepw_fitness",
     "compare",
     "coverage",
     "enhance_aaso",

@@ -10,10 +10,7 @@ from .optimizer import RunResult, _checked
 
 @dataclass
 class PSOParams:
-    """Inertia-weight PSO parameters; the weight decays linearly over the run.
-
-    ``v_max`` of None clamps velocities to the full per-dimension range.
-    """
+    """Inertia-weight PSO parameters; the weight decays linearly over the run."""
 
     swarm: int = 30
     iters: int = 100
@@ -21,28 +18,25 @@ class PSOParams:
     c2: float = 2.0
     w_max: float = 0.9
     w_min: float = 0.4
-    v_max: float | None = None
 
     def __post_init__(self):
         if self.swarm < 1 or self.iters < 1:
             raise ValueError("swarm and iters must be positive")
         if not 0.0 <= self.w_min <= self.w_max:
             raise ValueError("need 0 <= w_min <= w_max")
-        if self.v_max is not None and self.v_max <= 0.0:
-            raise ValueError("v_max must be positive")
 
 
 def pso_run(objective, space, params, rng, seed_positions=None):
     """Global-best PSO with zero initial velocities and synchronous updates.
 
     Per iteration the two acceleration draws are (swarm, dim) uniform blocks,
-    velocities are clamped per dimension to +-v_max, and positions are
-    boundary-corrected by the space policy. History index 0 is the best after
+    velocities are clamped per dimension to +-(upper - lower), and positions
+    are clamped into the box. History index 0 is the best after
     initialization.
     """
     obj = _checked(objective)
     n, d = params.swarm, space.dim
-    v_max = np.full(d, params.v_max) if params.v_max is not None else space.width
+    v_max = space.width
 
     positions = space.sample_uniform(rng, n)
     if seed_positions is not None:

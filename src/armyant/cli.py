@@ -10,7 +10,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baselines import PSOParams
 from .config import parse_config, parse_seed_list
 from .coverage import (
     CoverageField,
@@ -22,12 +21,9 @@ from .coverage import (
     write_deployment,
 )
 from .enhance import VFAParams, enhance_aaso, enhance_pso, enhance_vfa
-from .harness import compare, write_statistics_csv, write_trace_csv
-from .optimizer import OptimizerConfig
+from .harness import algorithm_params, compare, write_statistics_csv, write_trace_csv
 from .rng import RandomSource
 from .svgplot import render_deployment_svg
-
-TWO_PI = 2.0 * math.pi
 
 
 def _ensure_output_dir(path):
@@ -46,22 +42,14 @@ def _write_curve_csv(curve, path):
 
 def _enhance(algorithm, sensors, field, spec, seed):
     rng = RandomSource(seed)
-    if algorithm == "aaso":
-        config = OptimizerConfig(
-            population=spec.population,
-            max_iters=spec.iterations,
-            recruit_init=spec.recruit_init,
-            attack_coeff=spec.attack_coeff,
-            stagnation_threshold=spec.stagnation,
-            seed=seed,
-        )
-        return enhance_aaso(sensors, field, config, rng)
-    if algorithm == "pso":
-        params = PSOParams(swarm=spec.population, iters=spec.iterations, v_max=TWO_PI)
-        return enhance_pso(sensors, field, params, rng)
     if algorithm == "vfa":
         return enhance_vfa(sensors, field, VFAParams(max_iters=spec.iterations), rng)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    params = algorithm_params(
+        algorithm, spec.population, spec.iterations, seed,
+        spec.recruit_init, spec.attack_coeff, spec.stagnation,
+    )
+    enhance = enhance_aaso if algorithm == "aaso" else enhance_pso
+    return enhance(sensors, field, params, rng)
 
 
 def run_cover(spec):
@@ -149,6 +137,9 @@ def run_bench(spec):
         population=spec.population,
         iterations=spec.iterations,
         dim=spec.dimension,
+        recruit_init=spec.recruit_init,
+        attack_coeff=spec.attack_coeff,
+        stagnation=spec.stagnation,
     )
     write_statistics_csv(stats, os.path.join(out, "statistics.csv"))
     for s in stats:

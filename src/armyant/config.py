@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 from .benchmarks import FUNCTION_NAMES
 
-COVER_ALGORITHMS = ("aaso", "vfa", "pso")
-BENCH_ALGORITHMS = ("aaso", "pso", "random")
+# the algorithms each experiment kind runs, also its default selection
+ALGORITHMS = {"cover": ("aaso", "vfa", "pso"), "bench": ("aaso", "pso", "random")}
 
 
 @dataclass
@@ -20,7 +20,7 @@ class ExperimentSpec:
     deployment_path: str | None = None
     radius_m: float = 60.0
     view_angle_deg: float = 90.0
-    algorithms: tuple = ("aaso", "vfa", "pso")
+    algorithms: tuple = ALGORITHMS["cover"]
     population: int = 50
     iterations: int = 100
     recruit_init: float | None = None
@@ -55,8 +55,8 @@ class ExperimentSpec:
             raise ValueError("stagnation must be at least 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        allowed = COVER_ALGORITHMS if self.kind == "cover" else BENCH_ALGORITHMS
-        if self.kind in ("cover", "bench"):
+        if self.kind in ALGORITHMS:
+            allowed = ALGORITHMS[self.kind]
             if not self.algorithms:
                 raise ValueError("need at least one algorithm")
             for a in self.algorithms:
@@ -115,9 +115,6 @@ _PARSERS = {
     "base_seed": int,
 }
 
-# bench defaults to the aaso/pso/random trio unless the file says otherwise
-_KIND_ALGORITHM_DEFAULTS = {"cover": COVER_ALGORITHMS, "bench": BENCH_ALGORITHMS}
-
 
 def parse_config(path):
     """Parse and validate a config file; missing keys take the defaults."""
@@ -140,8 +137,8 @@ def parse_config(path):
                 values[key] = _PARSERS[key](raw_value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-    if "algorithms" not in values and values.get("kind") in _KIND_ALGORITHM_DEFAULTS:
-        values["algorithms"] = _KIND_ALGORITHM_DEFAULTS[values["kind"]]
+    if "algorithms" not in values and values.get("kind") in ALGORITHMS:
+        values["algorithms"] = ALGORITHMS[values["kind"]]
     try:
         return ExperimentSpec(**values).validate()
     except ValueError as exc:

@@ -273,7 +273,11 @@ class CoverageEvaluator:
         return self.covered_count(angles) / self.grid_count
 
     def fitness(self, angles):
-        """Reciprocal-coverage objective; see ``cepw_fitness``."""
+        """Reciprocal of the coverage rate, to be minimized.
+
+        Full coverage scores 1.0, half coverage 2.0; zero coverage returns
+        the finite sentinel grid_count**2 so the objective stays total.
+        """
         covered = self.covered_count(angles)
         if covered == 0:
             return float(self.grid_count * self.grid_count)
@@ -311,18 +315,6 @@ def with_deviations(sensors, angles):
     if angles.size != len(sensors):
         raise ValueError("need exactly one angle per sensor")
     return [replace(s, deviation=float(a)) for s, a in zip(sensors, angles)]
-
-
-def cepw_fitness(angles, sensors, field):
-    """Reciprocal of the coverage rate, to be minimized.
-
-    Full coverage scores 1.0, half coverage 2.0; zero coverage returns the
-    finite sentinel grid_count**2 so the objective stays total.
-    """
-    angles = np.asarray(angles, dtype=float)
-    if angles.size != len(sensors):
-        raise ValueError("need exactly one angle per sensor")
-    return CoverageEvaluator(sensors, field).fitness(angles)
 
 
 def expected_initial_coverage(count, radius, alpha, area):

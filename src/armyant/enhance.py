@@ -62,56 +62,47 @@ def _rates_from_history(history, grid_count):
     return covered / grid_count
 
 
-def enhance_aaso(sensors, field, config=None, rng=None):
-    """Army ant search over the clamped angle box [0, 2*pi]^D."""
+def _search_angles(sensors, field, search, params, rng):
+    """Minimize the reciprocal coverage with ``search`` over the angle box.
+
+    ``search`` is ``optimizer.run`` or ``pso_run``; the as-deployed angles
+    are its one seed position.
+    """
     start = time.perf_counter()
     sensors = list(sensors)
     if not sensors:
         raise ValueError("need at least one sensor")
+    evaluator = CoverageEvaluator(sensors, field)
+    space = SearchSpace.cube(len(sensors), 0.0, TWO_PI)
+    incumbent = np.array([s.deviation for s in sensors])
+    initial_rate = evaluator.rate(incumbent)
+    result = search(evaluator.fitness, space, params, rng, seed_positions=[incumbent])
+    return EnhancementRun(
+        initial_rate=initial_rate,
+        final_rate=evaluator.rate(result.best_position),
+        best_angles=DeploymentScheme(result.best_position),
+        curve=_rates_from_history(result.history, field.grid_count),
+        evaluations=result.evaluations,
+        elapsed=time.perf_counter() - start,
+    )
+
+
+def enhance_aaso(sensors, field, config=None, rng=None):
+    """Army ant search over the clamped angle box [0, 2*pi]^D."""
     if config is None:
         config = optimizer.OptimizerConfig()
     if rng is None:
         rng = RandomSource(config.seed)
-    evaluator = CoverageEvaluator(sensors, field)
-    space = SearchSpace.cube(len(sensors), 0.0, TWO_PI)
-    incumbent = np.array([s.deviation for s in sensors])
-    initial_rate = evaluator.rate(incumbent)
-    result = optimizer.run(
-        evaluator.fitness, space, config, rng, seed_positions=[incumbent]
-    )
-    return EnhancementRun(
-        initial_rate=initial_rate,
-        final_rate=evaluator.rate(result.best_position),
-        best_angles=DeploymentScheme(result.best_position),
-        curve=_rates_from_history(result.history, field.grid_count),
-        evaluations=result.evaluations,
-        elapsed=time.perf_counter() - start,
-    )
+    return _search_angles(sensors, field, optimizer.run, config, rng)
 
 
 def enhance_pso(sensors, field, params=None, rng=None):
     """Inertia-weight PSO baseline over the same clamped angle box."""
-    start = time.perf_counter()
-    sensors = list(sensors)
-    if not sensors:
-        raise ValueError("need at least one sensor")
     if params is None:
-        params = PSOParams(swarm=50, iters=100, v_max=TWO_PI)
+        params = PSOParams(swarm=50, iters=100)
     if rng is None:
         rng = RandomSource(0)
-    evaluator = CoverageEvaluator(sensors, field)
-    space = SearchSpace.cube(len(sensors), 0.0, TWO_PI)
-    incumbent = np.array([s.deviation for s in sensors])
-    initial_rate = evaluator.rate(incumbent)
-    result = pso_run(evaluator.fitness, space, params, rng, seed_positions=[incumbent])
-    return EnhancementRun(
-        initial_rate=initial_rate,
-        final_rate=evaluator.rate(result.best_position),
-        best_angles=DeploymentScheme(result.best_position),
-        curve=_rates_from_history(result.history, field.grid_count),
-        evaluations=result.evaluations,
-        elapsed=time.perf_counter() - start,
-    )
+    return _search_angles(sensors, field, pso_run, params, rng)
 
 
 def _wrap_signed(angle):

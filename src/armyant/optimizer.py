@@ -16,8 +16,8 @@ order followed by the attack step scalar, or companion indices followed
 by the Cauchy block for followers); then bridge draws if triggered.
 The move sweep updates positions in place, so a follower sees the
 already-moved positions of lower-indexed companions. Objective
-evaluations happen after the sweep, consume no draws, and may run
-concurrently as long as results are committed in ant-index order.
+evaluations happen after the sweep, consume no draws, and run
+sequentially in ant-index order.
 """
 
 import math

@@ -58,7 +58,3 @@ class RandomSource:
         idx = np.searchsorted(cum, u, side="right")
         idx = np.minimum(idx, len(cum) - 1)
         return int(idx) if size is None else idx
-
-    def spawn(self, offset):
-        """Independent source derived from this seed plus an offset."""
-        return RandomSource((self.seed + int(offset)) % 2**64)

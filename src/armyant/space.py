@@ -1,32 +1,19 @@
 """Box-bounded search spaces and boundary handling."""
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
-
-TWO_PI = 2.0 * np.pi
-
-
-class BoundaryPolicy(Enum):
-    """What to do with coordinates that leave the box after a move."""
-
-    CLAMP = "clamp"
-    WRAP = "wrap"
 
 
 @dataclass
 class SearchSpace:
-    """A D-dimensional axis-aligned box with a boundary policy.
+    """A D-dimensional axis-aligned box.
 
-    CLAMP projects offending coordinates onto the nearest bound. WRAP
-    reduces them modulo the interval width into [lower, upper), which is
-    the right treatment for periodic variables such as angles.
+    Coordinates that leave the box are clamped onto the nearest bound.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    boundary_policy: BoundaryPolicy = BoundaryPolicy.CLAMP
     dim: int = field(init=False)
 
     def __post_init__(self):
@@ -43,34 +30,21 @@ class SearchSpace:
         self.dim = int(self.lower.size)
 
     @classmethod
-    def cube(cls, dim, low, high, boundary_policy=BoundaryPolicy.CLAMP):
+    def cube(cls, dim, low, high):
         """Same (low, high) interval in every dimension."""
-        return cls(np.full(dim, float(low)), np.full(dim, float(high)), boundary_policy)
-
-    @classmethod
-    def angles(cls, dim):
-        """The circle [0, 2*pi) per dimension, wrapped."""
-        return cls.cube(dim, 0.0, TWO_PI, BoundaryPolicy.WRAP)
+        return cls(np.full(dim, float(low)), np.full(dim, float(high)))
 
     @property
     def width(self):
         return self.upper - self.lower
 
     def apply_bounds(self, x):
-        """Return a copy of ``x`` corrected into the box per the policy."""
-        x = np.asarray(x, dtype=float)
-        if self.boundary_policy is BoundaryPolicy.CLAMP:
-            return np.clip(x, self.lower, self.upper)
-        w = self.width
-        out = self.lower + np.mod(x - self.lower, w)
-        # float mod can land exactly on the upper bound for tiny negatives
-        return np.where(out >= self.upper, self.lower, out)
+        """Return a copy of ``x`` clamped into the box."""
+        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
-        if self.boundary_policy is BoundaryPolicy.CLAMP:
-            return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-        return bool(np.all(x >= self.lower) and np.all(x < self.upper))
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def sample_uniform(self, rng, n=None):
         """Uniform points in the box; shape (dim,) or (n, dim)."""

@@ -18,8 +18,6 @@ def test_params_validation():
         PSOParams(swarm=0)
     with pytest.raises(ValueError):
         PSOParams(w_max=0.2, w_min=0.5)
-    with pytest.raises(ValueError):
-        PSOParams(v_max=0.0)
 
 
 def test_frozen_swarm_with_degenerate_params():

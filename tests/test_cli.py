@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from armyant.benchmarks import get_benchmark
 from armyant.cli import analyze_report, main
+from armyant.harness import compare, write_statistics_csv
+from armyant.optimizer import OptimizerConfig, run
+from armyant.rng import RandomSource
 
 PI = math.pi
 
@@ -249,6 +253,29 @@ def test_bench_statistics_recomputable_from_traces(tmp_path):
             finals.append(float(rows[-1][1]))
         assert float(stats[algorithm][3]) == min(finals)
         assert float(stats[algorithm][4]) == pytest.approx(sum(finals) / 2, abs=1e-15)
+
+
+def test_bench_run_honours_aaso_keys(tmp_path):
+    plain, tuned = tmp_path / "plain", tmp_path / "tuned"
+    config = write_config(tmp_path, TINY_BENCH)
+    assert main(["bench", "run", "--config", config, "--out", str(plain)]) == 0
+    config = write_config(tmp_path, TINY_BENCH + "attack_coeff = 0.5\nstagnation = 1\n")
+    assert main(["bench", "run", "--config", config, "--out", str(tuned)]) == 0
+    statistics = (tuned / "statistics.csv").read_bytes()
+    assert statistics != (plain / "statistics.csv").read_bytes()
+
+    expected = tmp_path / "expected.csv"
+    stats = compare(["aaso", "random"], ["sphere"], runs=2, base_seed=3, population=6,
+                    iterations=8, dim=3, attack_coeff=0.5, stagnation=1)
+    write_statistics_csv(stats, expected)
+    assert statistics == expected.read_bytes()
+    func = get_benchmark("sphere", 3)
+    for seed in (3, 4):
+        config = OptimizerConfig(population=6, max_iters=8, attack_coeff=0.5,
+                                 stagnation_threshold=1)
+        history = run(func, func.box, config, RandomSource(seed)).history
+        rows = list(csv.reader(open(tuned / f"trace_aaso_sphere_{seed}.csv")))[1:]
+        assert [float(r[1]) for r in rows] == history.tolist()
 
 
 # --- misc -------------------------------------------------------------------------

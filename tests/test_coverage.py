@@ -12,7 +12,6 @@ from armyant.coverage import (
     Sensor,
     candidate_grids,
     canonicalize_angle,
-    cepw_fitness,
     coverage,
     coverage_naive,
     expected_initial_coverage,
@@ -249,20 +248,20 @@ def test_required_nodes_round_trip():
 def test_cepw_fitness_full_and_half_and_empty():
     field = CoverageField(10, 10, 5)  # four grids
     omni = Sensor(5.0, 5.0, 20.0, 2 * PI, 0.0)
-    assert cepw_fitness(np.array([0.0]), [omni], field) == 1.0
+    assert CoverageEvaluator([omni], field).fitness(np.array([0.0])) == 1.0
 
     field2 = CoverageField(10, 5, 5)  # two grids
     one_cell = Sensor(2.5, 2.5, 1.0, 2 * PI, 0.0)
-    assert cepw_fitness(np.array([0.0]), [one_cell], field2) == 2.0
+    assert CoverageEvaluator([one_cell], field2).fitness(np.array([0.0])) == 2.0
 
     blind = Sensor(4.0, 4.0, 0.5, 0.3, 0.0)  # reaches no centroid
-    assert cepw_fitness(np.array([0.0]), [blind], field2) == 4.0  # grid_count squared
+    assert CoverageEvaluator([blind], field2).fitness(np.array([0.0])) == 4.0  # grid_count squared
 
 
 def test_cepw_fitness_length_mismatch():
     field = CoverageField(10, 10, 5)
     with pytest.raises(ValueError):
-        cepw_fitness(np.array([0.0, 1.0]), [Sensor(5, 5, 3, PI)], field)
+        CoverageEvaluator([Sensor(5, 5, 3, PI)], field).fitness(np.array([0.0, 1.0]))
 
 
 def test_cepw_argmin_matches_rate_argmax():
@@ -270,7 +269,8 @@ def test_cepw_argmin_matches_rate_argmax():
     sensors = random_deployment(field, 3, 20.0, PI / 2, RandomSource(12))
     rng = RandomSource(99)
     candidates = [rng.uniform(3) * 2 * PI for _ in range(8)]
-    fits = [cepw_fitness(c, sensors, field) for c in candidates]
+    evaluator = CoverageEvaluator(sensors, field)
+    fits = [evaluator.fitness(c) for c in candidates]
     rates = [coverage(with_deviations(sensors, c), field).rate for c in candidates]
     assert int(np.argmin(fits)) == int(np.argmax(rates))
 

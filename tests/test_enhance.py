@@ -53,7 +53,7 @@ def test_two_colocated_sensors_reach_disjoint_cones():
     ("aaso", lambda s, f, seed: enhance_aaso(
         s, f, aa.OptimizerConfig(population=10, max_iters=15, seed=seed), RandomSource(seed))),
     ("pso", lambda s, f, seed: enhance_pso(
-        s, f, aa.PSOParams(swarm=10, iters=15, v_max=2 * PI), RandomSource(seed))),
+        s, f, aa.PSOParams(swarm=10, iters=15), RandomSource(seed))),
     ("vfa", lambda s, f, seed: enhance_vfa(
         s, f, VFAParams(max_iters=15), RandomSource(seed))),
 ])
@@ -78,7 +78,7 @@ def test_enhancement_run_contract(name, runner):
     lambda s, f, seed: enhance_aaso(
         s, f, aa.OptimizerConfig(population=8, max_iters=12, seed=seed), RandomSource(seed)),
     lambda s, f, seed: enhance_pso(
-        s, f, aa.PSOParams(swarm=8, iters=12, v_max=2 * PI), RandomSource(seed)),
+        s, f, aa.PSOParams(swarm=8, iters=12), RandomSource(seed)),
     lambda s, f, seed: enhance_vfa(s, f, VFAParams(max_iters=12), RandomSource(seed)),
 ])
 def test_enhancers_deterministic(runner):
@@ -101,7 +101,7 @@ def test_aaso_evaluation_budget():
 
 def test_pso_evaluation_budget():
     field, sensors = headline_instance(seed=4)
-    run = enhance_pso(sensors, field, aa.PSOParams(swarm=10, iters=20, v_max=2 * PI), RandomSource(4))
+    run = enhance_pso(sensors, field, aa.PSOParams(swarm=10, iters=20), RandomSource(4))
     assert run.evaluations == 10 * 21
 
 

@@ -52,9 +52,3 @@ def test_choice_without_replacement():
     assert sorted(picked) == list(range(10))
     pair = rng.choice_without_replacement(np.arange(50), 2)
     assert pair[0] != pair[1]
-
-
-def test_spawn_is_deterministic():
-    assert np.array_equal(
-        RandomSource(1).spawn(10).uniform(5), RandomSource(11).uniform(5)
-    )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from armyant.rng import RandomSource
-from armyant.space import BoundaryPolicy, SearchSpace, TWO_PI
+from armyant.space import SearchSpace
 
 
 def test_rejects_bad_bounds():
@@ -18,10 +18,6 @@ def test_rejects_bad_bounds():
 def test_cube_and_angles_constructors():
     box = SearchSpace.cube(3, -2.0, 2.0)
     assert box.dim == 3
-    assert box.boundary_policy is BoundaryPolicy.CLAMP
-    circle = SearchSpace.angles(4)
-    assert circle.boundary_policy is BoundaryPolicy.WRAP
-    assert np.allclose(circle.upper, TWO_PI)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
@@ -33,23 +29,6 @@ def test_clamp_lands_in_box(values):
     # already-inside points are untouched
     inside = np.clip(x, -3.0, 7.0)
     assert np.array_equal(space.apply_bounds(inside), inside)
-
-
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
-def test_wrap_lands_in_half_open_interval(values):
-    x = np.array(values)
-    space = SearchSpace.cube(x.size, 0.0, TWO_PI, BoundaryPolicy.WRAP)
-    out = space.apply_bounds(x)
-    assert np.all(out >= 0.0) and np.all(out < TWO_PI)
-
-
-def test_wrap_edge_cases():
-    space = SearchSpace.cube(1, 0.0, TWO_PI, BoundaryPolicy.WRAP)
-    assert space.apply_bounds(np.array([TWO_PI]))[0] == 0.0
-    # a tiny negative value must not wrap onto the excluded upper bound
-    out = space.apply_bounds(np.array([-1e-18]))[0]
-    assert 0.0 <= out < TWO_PI
-    assert space.apply_bounds(np.array([2.5 + 3 * TWO_PI]))[0] == pytest.approx(2.5)
 
 
 def test_sample_uniform_deterministic_and_in_box():
@@ -66,6 +45,4 @@ def test_sample_uniform_deterministic_and_in_box():
 def test_contains():
     clamp = SearchSpace.cube(2, 0.0, 1.0)
     assert clamp.contains(np.array([0.0, 1.0]))
-    wrap = SearchSpace.cube(2, 0.0, 1.0, BoundaryPolicy.WRAP)
-    assert not wrap.contains(np.array([0.0, 1.0]))
-    assert wrap.contains(np.array([0.0, 0.999]))
+    assert not clamp.contains(np.array([0.0, 1.001]))
