@@ -17,12 +17,11 @@ from .coverage import (
 )
 from .enhance import EnhancementRun, VFAParams, enhance_aaso, enhance_pso, enhance_vfa
 from .harness import RunStatistics, compare
-from .optimizer import Ant, OptimizerConfig, PreyArchive, RunResult, run
+from .optimizer import OptimizerConfig, RunResult, run
 from .rng import RandomSource
 from .space import SearchSpace
 
 __all__ = [
-    "Ant",
     "BenchmarkFunction",
     "CoverageEvaluator",
     "CoverageField",
@@ -30,7 +29,6 @@ __all__ = [
     "DeploymentScheme",
     "EnhancementRun",
     "OptimizerConfig",
-    "PreyArchive",
     "PSOParams",
     "RandomSource",
     "RunResult",

@@ -85,19 +85,22 @@ def random_search_run(objective, space, budget, rng, record_every=1):
 
     ``history`` records the best-so-far after every ``record_every`` samples
     (and after the final partial block), so a record_every equal to a swarm
-    size yields iteration-aligned traces.
+    size yields iteration-aligned traces. Each block of ``record_every``
+    samples is drawn at once (the same doubles as one draw per sample) and
+    evaluated one sample at a time, in order.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
     obj = _checked(objective)
     best = None
     best_fit = math.inf
     history = []
-    for i in range(budget):
-        x = space.sample_uniform(rng)
-        f = obj(x)
-        if f < best_fit:
-            best, best_fit = x, f
-        if (i + 1) % record_every == 0 or i == budget - 1:
-            history.append(best_fit)
-    return RunResult(best, best_fit, np.array(history), budget)
+    for start in range(0, budget, record_every):
+        for x in space.sample_uniform(rng, min(record_every, budget - start)):
+            f = obj(x)
+            if f < best_fit:
+                best, best_fit = x, f
+        history.append(best_fit)
+    return RunResult(best.copy(), best_fit, np.array(history), budget)

@@ -20,7 +20,7 @@ class ExperimentSpec:
     deployment_path: str | None = None
     radius_m: float = 60.0
     view_angle_deg: float = 90.0
-    algorithms: tuple = ALGORITHMS["cover"]
+    algorithms: tuple | None = None  # None: ALGORITHMS[kind]
     population: int = 50
     iterations: int = 100
     recruit_init: float | None = None
@@ -33,6 +33,10 @@ class ExperimentSpec:
     dimension: int = 30
     runs: int = 50
     base_seed: int = 1
+
+    def __post_init__(self):
+        if self.algorithms is None and self.kind in ALGORITHMS:
+            self.algorithms = ALGORITHMS[self.kind]
 
     def validate(self):
         if self.kind not in ("cover", "bench", "analyze"):
@@ -51,6 +55,10 @@ class ExperimentSpec:
             raise ValueError("population must be at least 4")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
+        if not self.attack_coeff > 0:
+            raise ValueError("attack_coeff must be positive")
+        if self.recruit_init is not None and not 0 < self.recruit_init <= self.population:
+            raise ValueError("recruit_init must lie in (0, population]")
         if self.stagnation < 1:
             raise ValueError("stagnation must be at least 1")
         if not self.seeds:
@@ -137,8 +145,6 @@ def parse_config(path):
                 values[key] = _PARSERS[key](raw_value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-    if "algorithms" not in values and values.get("kind") in ALGORITHMS:
-        values["algorithms"] = ALGORITHMS[values["kind"]]
     try:
         return ExperimentSpec(**values).validate()
     except ValueError as exc:

@@ -9,15 +9,24 @@ The number of prey shrinks over the run to shift from exploration to
 exploitation, and a fitness-weighted "ant bridge" mutates the worse half
 of the population when the global best stagnates.
 
+The population is an (N, D) position array with an (N,) fitness vector;
+the prey archive holds the (<=4, D) best positions so far, ascending.
+
 Deterministic draw order (per iteration, one ``RandomSource``):
 recruit counts for prey 0..active-1, then their index selections; then
-ants 0..N-1 in index order (scatter vectors per recruiting prey in prey
-order followed by the attack step scalar, or companion indices followed
-by the Cauchy block for followers); then bridge draws if triggered.
-The move sweep updates positions in place, so a follower sees the
-already-moved positions of lower-indexed companions. Objective
-evaluations happen after the sweep, consume no draws, and run
-sequentially in ant-index order.
+ants 0..N-1 in index order (a recruited ant's scatter vectors in prey
+order, as one normal block, followed by the attack step scalar; or a
+follower's companion indices followed by its Cauchy block); then bridge
+draws if triggered. Each iteration makes its sweep's draws first and
+computes nothing there. The recruited block then moves every recruited
+ant at once, since each reads only its own pre-sweep row and the prey.
+The follower chain last moves followers in index order: a companion with
+a lower index contributes its new row, any other its pre-sweep row, as
+in a sweep that updates positions in place. The attack target must add
+an ant's scatter rows to +0.0 one after another in prey order, as
+``np.mean`` does; another order rounds differently or flips the sign of
+a zero. Objective evaluations happen after the sweep, consume no draws,
+and run sequentially in ant-index order.
 """
 
 import math
@@ -61,52 +70,15 @@ class OptimizerConfig:
 
 
 @dataclass
-class Ant:
-    """One candidate solution: a position and its objective value."""
-
-    position: np.ndarray
-    fitness: float
-
-
-class PreyArchive:
-    """Ranked best-so-far solutions, at most four, ascending by fitness.
-
-    ``entries[0]`` is the global best. ``active_count`` is how many of the
-    entries currently act as prey; it follows the shrinking prey schedule
-    and never exceeds the number of stored entries.
-    """
-
-    def __init__(self, entries, active_count=None):
-        self.entries = sorted(entries, key=lambda a: a.fitness)[:ARCHIVE_SIZE]
-        self.active_count = len(self.entries) if active_count is None else active_count
-
-    @property
-    def best(self):
-        return self.entries[0]
-
-    def active(self):
-        return self.entries[: self.active_count]
-
-    def merge(self, population, active_count):
-        """Fold a population into the best-so-far pool and set the active count.
-
-        The pool keeps the four lowest-fitness solutions ever seen; existing
-        entries win ties so the global best is stable under equal fitness.
-        """
-        pool = list(self.entries) + [Ant(a.position.copy(), a.fitness) for a in population]
-        pool.sort(key=lambda a: a.fitness)
-        self.entries = pool[:ARCHIVE_SIZE]
-        self.active_count = max(1, min(active_count, len(self.entries)))
-
-
-@dataclass
 class IterationState:
-    """Snapshot of one iteration, handed to the observer callback."""
+    """Snapshot of one iteration, with the archive after it, for the observer."""
 
     t: int
     num_aver: float
     recruit_map: list
     stagnation_counter: int
+    prey_positions: np.ndarray
+    prey_fitness: np.ndarray
     bridge_position: np.ndarray | None = None
 
 
@@ -149,8 +121,8 @@ def sample_recruit_count(lam, n_max, rng):
     return rng.roulette(truncated_poisson_pmf(lam, n_max))
 
 
-def recruit(archive, config, t, rng):
-    """Recruit map for the active prey at iteration t.
+def recruit(n_prey, config, t, rng):
+    """Recruit map for the ``n_prey`` active prey at iteration t.
 
     Each active prey independently draws its recruit count from the
     truncated Poisson wheel, then selects that many distinct ant indices
@@ -160,50 +132,61 @@ def recruit(archive, config, t, rng):
     """
     n = config.population
     pmf = truncated_poisson_pmf(avg_recruits(t, config), n)
-    counts = [rng.roulette(pmf) for _ in archive.active()]
+    counts = rng.roulette(pmf, size=n_prey).tolist()
     return [
         np.sort(rng.choice_without_replacement(np.arange(n), k)) if k > 0 else np.empty(0, dtype=int)
         for k in counts
     ]
 
 
-def scatter_position(prey, ant, rng, space):
-    """Gaussian scatter of a recruited ant around its prey.
+def scatter_position(prey, ants, eps, space):
+    """Gaussian scatter of recruited ants around their prey, row by row.
 
-    The prey-to-ant gap scales a fresh standard-normal vector, so scatter
+    The prey-to-ant gap scales the standard-normal ``eps``, so scatter
     shrinks as the population closes in. The result is boundary-corrected
     and never evaluated against the objective.
     """
-    eps = rng.normal(prey.shape[0])
-    return space.apply_bounds(prey + (prey - ant) * eps)
+    return space.apply_bounds(prey + (prey - ants) * eps)
 
 
-def attack_target(scatters):
-    """Element-wise mean of an ant's scatter positions (one per recruiting prey)."""
-    if len(scatters) == 0:
-        raise ValueError("attack target needs at least one scatter position")
-    return np.mean(scatters, axis=0)
+def attack_target(scatters, counts):
+    """Per-ant mean of scatter rows; ant m owns ``counts[m]`` consecutive rows.
 
-
-def step_attack(ant, target, config, rng, space):
-    """Move an ant toward its attack target by a random fraction of the gap.
-
-    One scalar step factor in (0, 1] is drawn per call and shared across
-    dimensions; the attack coefficient allows overshoot past the target.
+    As in ``np.mean`` over one ant's rows, the rows are added to +0.0 one
+    after another, in prey order, and the sum is divided by their count.
+    Ants with fewer rows add +0.0 in the missing slots, which changes no
+    sum: a sum that starts from +0.0 is never -0.0, and x + 0.0 == x for
+    every other x, to the bit.
     """
-    r = rng.uniform_open()
-    return space.apply_bounds(ant + config.attack_coeff * r * (target - ant))
+    counts = np.asarray(counts)
+    if np.any(counts < 1):
+        raise ValueError("attack target needs at least one scatter position")
+    slot = np.arange(counts.max())
+    rows = np.where(slot < counts[:, None], (np.cumsum(counts) - counts)[:, None] + slot, len(scatters))
+    padded = np.concatenate((scatters, np.zeros((1, scatters.shape[1]))))[rows]
+    target = np.zeros((len(counts), scatters.shape[1]))
+    for m in slot:
+        target += padded[:, m]
+    return target / counts[:, None]
 
 
-def step_follow(companions, rng, space):
+def step_attack(ants, targets, r, attack_coeff, space):
+    """Move ants toward their attack targets by a random fraction of the gap.
+
+    Ant m's step factor ``r[m]`` in (0, 1] is shared across dimensions; the
+    attack coefficient allows overshoot past the target.
+    """
+    return space.apply_bounds(ants + (attack_coeff * r)[:, None] * (targets - ants))
+
+
+def step_follow(companions, noise, space):
     """Move an unrecruited ant to the Cauchy-perturbed mean of two companions.
 
-    Each companion gets its own fresh standard-Cauchy vector; the heavy
-    tails keep followers exploring locally.
+    Each companion row gets its own row of standard-Cauchy ``noise``; the
+    heavy tails keep followers exploring locally.
     """
-    companions = np.asarray(companions, dtype=float)
-    noise = rng.cauchy(companions.shape)
-    return space.apply_bounds(np.mean(companions + noise, axis=0))
+    moved = np.asarray(companions, dtype=float) + noise
+    return space.apply_bounds(moved.sum(axis=0) / 2.0)  # np.mean's sum from +0.0
 
 
 def prey_count_raw(t, max_iters):
@@ -220,7 +203,19 @@ def prey_count(t, max_iters):
     return max(1, prey_count_raw(t, max_iters))
 
 
-def ant_bridge(worse_half, best_fitness):
+def merge_archive(prey_positions, prey_fitness, positions, fitness):
+    """Fold a batch into the best-so-far pool; returns new (positions, fitness).
+
+    The pool keeps the four lowest-fitness solutions ever seen, ascending;
+    existing entries win ties (a stable sort with the archive rows first)
+    so the global best is stable under equal fitness.
+    """
+    pool_fitness = np.concatenate((prey_fitness, fitness))
+    keep = np.argsort(pool_fitness, kind="stable")[:ARCHIVE_SIZE]
+    return np.concatenate((prey_positions, positions))[keep], pool_fitness[keep]
+
+
+def ant_bridge(positions, fitness, best_fitness):
     """Fitness-weighted centroid of the worse half of the population.
 
     Weights favor the relatively better ants of the worse half:
@@ -228,31 +223,29 @@ def ant_bridge(worse_half, best_fitness):
     The epsilon keeps the weights defined for non-positive and tied
     objective values.
     """
-    fits = np.array([a.fitness for a in worse_half], dtype=float)
+    fits = np.asarray(fitness, dtype=float)
     if not np.all(np.isfinite(fits)):
         raise ValueError("ant bridge requires finite fitness values")
     f = 1.0 / (fits - best_fitness + BRIDGE_EPS)
     w = f / f.sum()
-    positions = np.stack([a.position for a in worse_half])
     return w @ positions
 
 
-def bridge_mutate(ant, bridge, objective, rng, space):
-    """Single-dimension greedy mutation against the ant bridge.
+def bridge_mutate(positions, fitness, bridge, dims, u, objective, space):
+    """Single-dimension greedy mutation of each row against the ant bridge.
 
-    One dimension j is picked uniformly; the candidate replaces coordinate
-    j with 2*u*bridge[j] - position[j], u in (0, 1]. The candidate is
-    boundary-corrected and evaluated, and the better of the pair survives.
+    Row m's candidate replaces coordinate j = dims[m] with
+    2*u[m]*bridge[j] - positions[m, j], u in (0, 1]. Candidates are
+    boundary-corrected and evaluated in row order, and each row keeps the
+    better of the pair. Returns new (positions, fitness) arrays.
     """
-    j = rng.integer(0, ant.position.shape[0])
-    u = rng.uniform_open()
-    candidate = ant.position.copy()
-    candidate[j] = 2.0 * u * bridge[j] - ant.position[j]
-    candidate = space.apply_bounds(candidate)
-    cand_fit = objective(candidate)
-    if cand_fit < ant.fitness:
-        return Ant(candidate, cand_fit)
-    return ant
+    rows = np.arange(len(dims))
+    candidates = positions.copy()
+    candidates[rows, dims] = 2.0 * u * bridge[dims] - positions[rows, dims]
+    candidates = space.apply_bounds(candidates)
+    cand_fitness = np.array([objective(c) for c in candidates])
+    better = cand_fitness < fitness
+    return np.where(better[:, None], candidates, positions), np.where(better, cand_fitness, fitness)
 
 
 def _checked(objective):
@@ -266,7 +259,7 @@ def _checked(objective):
 
 
 def initialize(config, space, objective, rng, seed_positions=None):
-    """Uniform random population plus the four-best prey archive.
+    """Uniform random population and its fitness, evaluated in row order.
 
     ``seed_positions`` optionally overwrites the first rows of the sampled
     block (the full block is drawn either way, so injecting incumbents does
@@ -278,10 +271,7 @@ def initialize(config, space, objective, rng, seed_positions=None):
         if seeds.shape[0] > config.population or seeds.shape[1] != space.dim:
             raise ValueError("seed positions must fit the population and dimension")
         positions[: seeds.shape[0]] = space.apply_bounds(seeds)
-    population = [Ant(positions[i].copy(), objective(positions[i])) for i in range(config.population)]
-    archive = PreyArchive([Ant(a.position.copy(), a.fitness) for a in population])
-    archive.active_count = prey_count(1, config.max_iters)
-    return population, archive
+    return positions, np.array([objective(x) for x in positions])
 
 
 def run(objective, space, config, rng=None, observer=None, seed_positions=None):
@@ -292,7 +282,7 @@ def run(objective, space, config, rng=None, observer=None, seed_positions=None):
     Exactly N evaluations happen per iteration plus ceil(N/2) extra whenever
     the stagnation bridge fires, plus N at initialization; ``evaluations``
     reports the exact total. ``observer``, when given, is called once per
-    iteration with (IterationState, PreyArchive).
+    iteration with an ``IterationState``.
     """
     if rng is None:
         rng = RandomSource(config.seed)
@@ -304,64 +294,66 @@ def run(objective, space, config, rng=None, observer=None, seed_positions=None):
         evaluations += 1
         return obj(x)
 
-    population, archive = initialize(config, space, evaluate, rng, seed_positions)
-    history = [archive.best.fitness]
-    prev_best_position = archive.best.position.copy()
+    n, d = config.population, space.dim
+    positions, fitness = initialize(config, space, evaluate, rng, seed_positions)
+    prey, prey_fitness = merge_archive(np.empty((0, d)), np.empty(0), positions, fitness)
+    history = [prey_fitness[0]]
     stagnation = 0
-    n = config.population
+    others = [np.delete(np.arange(n), i) for i in range(n)]  # a follower's companions
 
     for t in range(1, config.max_iters + 1):
-        archive.active_count = min(prey_count(t, config.max_iters), len(archive.entries))
-        recruit_map = recruit(archive, config, t, rng)
-        active_prey = archive.active()
+        recruit_map = recruit(min(prey_count(t, config.max_iters), len(prey)), config, t, rng)
+        member = np.zeros((n, len(recruit_map)), dtype=bool)
+        for j, idx in enumerate(recruit_map):
+            member[idx, j] = True
+        counts = member.sum(axis=1)
 
-        # in-place sweep: ants move in index order and later movers see the
-        # updated positions of earlier ones; evaluation happens afterwards
-        positions = np.stack([a.position for a in population])
-        for i in range(n):
-            recruiting = [j for j, idx in enumerate(recruit_map) if i in idx]
-            if recruiting:
-                scatters = [
-                    scatter_position(active_prey[j].position, positions[i], rng, space)
-                    for j in recruiting
-                ]
-                positions[i] = step_attack(
-                    positions[i], attack_target(scatters), config, rng, space
-                )
+        # draw phase: every draw of the sweep, ant by ant; nothing moves yet
+        eps, r, follow = [], [], []
+        for i, k in enumerate(counts.tolist()):
+            if k:
+                eps.append(rng.normal(k * d))
+                r.append(rng.uniform_open())
             else:
-                others = np.concatenate((np.arange(i), np.arange(i + 1, n)))
-                pair = rng.choice_without_replacement(others, 2)
-                positions[i] = step_follow(positions[pair], rng, space)
+                follow.append((i, rng.choice_without_replacement(others[i], 2), rng.cauchy((2, d))))
 
-        population = [Ant(positions[i].copy(), evaluate(positions[i])) for i in range(n)]
-        archive.merge(population, prey_count(t, config.max_iters))
+        # recruited block, then the follower chain (see the module docstring)
+        moved = positions.copy()
+        if r:
+            ant_of, prey_of = np.nonzero(member)  # ant-major, prey order within an ant
+            scatters = scatter_position(
+                prey[prey_of], positions[ant_of], np.concatenate(eps).reshape(-1, d), space
+            )
+            recruited = np.flatnonzero(counts)
+            targets = attack_target(scatters, counts[recruited])
+            moved[recruited] = step_attack(
+                positions[recruited], targets, np.array(r), config.attack_coeff, space
+            )
+        for i, pair, noise in follow:
+            companions = [moved[c] if c < i else positions[c] for c in pair]
+            moved[i] = step_follow(companions, noise, space)
 
-        if np.array_equal(archive.best.position, prev_best_position):
-            stagnation += 1
-        else:
-            stagnation = 0
+        positions = moved
+        fitness = np.array([evaluate(x) for x in positions])
+        best_before = prey[0]
+        prey, prey_fitness = merge_archive(prey, prey_fitness, positions, fitness)
+        stagnation = stagnation + 1 if np.array_equal(prey[0], best_before) else 0
 
         bridge = None
         if stagnation >= config.stagnation_threshold:
-            order = np.argsort([a.fitness for a in population], kind="stable")
-            worse = sorted(order[-math.ceil(n / 2):])
-            bridge = ant_bridge([population[k] for k in worse], archive.best.fitness)
-            for k in worse:
-                population[k] = bridge_mutate(population[k], bridge, evaluate, rng, space)
-            archive.merge([population[k] for k in worse], prey_count(t, config.max_iters))
+            worse = np.sort(np.argsort(fitness, kind="stable")[-math.ceil(n / 2):])
+            bridge = ant_bridge(positions[worse], fitness[worse], prey_fitness[0])
+            dims, u = zip(*[(rng.integer(0, d), rng.uniform_open()) for _ in worse])
+            positions = positions.copy()  # the rows already evaluated stay as they were
+            positions[worse], fitness[worse] = bridge_mutate(
+                positions[worse], fitness[worse], bridge, np.array(dims), np.array(u), evaluate, space
+            )
+            prey, prey_fitness = merge_archive(prey, prey_fitness, positions[worse], fitness[worse])
             stagnation = 0
 
-        prev_best_position = archive.best.position.copy()
-        history.append(archive.best.fitness)
+        history.append(prey_fitness[0])
         if observer is not None:
-            state = IterationState(
-                t=t,
-                num_aver=avg_recruits(t, config),
-                recruit_map=recruit_map,
-                stagnation_counter=stagnation,
-                bridge_position=bridge,
-            )
-            observer(state, archive)
+            num_aver = avg_recruits(t, config)
+            observer(IterationState(t, num_aver, recruit_map, stagnation, prey, prey_fitness, bridge))
 
-    best = archive.best
-    return RunResult(best.position.copy(), best.fitness, np.array(history), evaluations)
+    return RunResult(prey[0].copy(), float(prey_fitness[0]), np.array(history), evaluations)

@@ -179,9 +179,9 @@ def test_c8_optimizer_operator_suite():
     assert prey_count_raw(100, 100) == 0
 
     # bridge weights form a convex combination (sum to one)
-    ants = [aa.Ant(np.array([float(i), 1.0]), 2.0 + i) for i in range(5)]
-    bridge = ant_bridge(ants, 1.5)
-    xs = np.array([a.position[0] for a in ants])
+    positions = np.array([[float(i), 1.0] for i in range(5)])
+    bridge = ant_bridge(positions, 2.0 + np.arange(5.0), 1.5)
+    xs = positions[:, 0]
     assert xs.min() - 1e-9 <= bridge[0] <= xs.max() + 1e-9
     assert abs(bridge[1] - 1.0) <= 1e-12  # identical coordinates stay fixed
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,42 @@ def test_random_search_history_monotone_and_recording():
     assert len(result.history) == 11  # ten full blocks plus the final partial one
     with pytest.raises(ValueError):
         random_search_run(sphere, SPACE2, 0, RandomSource(0))
+    with pytest.raises(ValueError):
+        random_search_run(sphere, SPACE2, 10, RandomSource(0), record_every=0)
+
+
+def random_search_reference(objective, space, budget, rng, record_every):
+    """One draw and one evaluation per sample: the loop the block sampler must equal."""
+    best, best_fit, history = None, math.inf, []
+    for i in range(budget):
+        x = space.sample_uniform(rng)
+        f = objective(x)
+        if f < best_fit:
+            best, best_fit = x, f
+        if (i + 1) % record_every == 0 or i == budget - 1:
+            history.append(best_fit)
+    return best, best_fit, np.array(history)
+
+
+@pytest.mark.parametrize("budget,record_every", [(1, 1), (9, 1), (30, 10), (31, 10), (29, 10), (5, 8)])
+def test_random_search_matches_per_sample_loop(budget, record_every):
+    space = SearchSpace(np.array([-5.0, 0.0, 1.0]), np.array([5.0, 0.5, 9.0]))
+    seen, ref_seen = [], []
+
+    def probe(log):
+        def objective(x):
+            log.append(x.copy())
+            return float(np.floor(np.sum(np.abs(x))))  # ties keep the first best
+
+        return objective
+
+    result = random_search_run(probe(seen), space, budget, RandomSource(4), record_every)
+    best, best_fit, history = random_search_reference(
+        probe(ref_seen), space, budget, RandomSource(4), record_every
+    )
+    assert np.array_equal(np.stack(seen), np.stack(ref_seen))
+    assert result.history.tobytes() == history.tobytes()
+    assert result.best_position.tobytes() == best.tobytes()
+    assert result.best_position.base is None  # a copy, not a view of a sample block
+    assert result.best_fitness == best_fit
+    assert result.evaluations == budget

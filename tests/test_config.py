@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from armyant.config import ExperimentSpec, parse_config, parse_seed_list
+from armyant.config import ALGORITHMS, ExperimentSpec, parse_config, parse_seed_list
 
 
 def write(tmp_path, text):
@@ -99,3 +101,30 @@ def test_spec_validate_direct():
         ExperimentSpec(kind="explore").validate()
     with pytest.raises(ValueError, match="seed"):
         ExperimentSpec(seeds=()).validate()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("attack_coeff = 0.0", "attack_coeff must be positive"),
+    ("attack_coeff = -1.5", "attack_coeff must be positive"),
+    ("recruit_init = 999", r"recruit_init must lie in \(0, population\]"),
+    ("recruit_init = 0", r"recruit_init must lie in \(0, population\]"),
+], ids=["attack_coeff_zero", "attack_coeff_negative", "recruit_init_above_population",
+        "recruit_init_zero"])
+def test_aaso_values_rejected_at_parse_with_path(tmp_path, line, message):
+    # both kinds run AASO, so a value the optimizer would refuse fails here,
+    # naming the file, instead of inside every AASO run
+    for kind in ("cover", "bench"):
+        path = write(tmp_path, f"kind = {kind}\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
+            parse_config(path)
+
+
+def test_recruit_init_may_equal_population(tmp_path):
+    spec = parse_config(write(tmp_path, "kind = cover\npopulation = 20\nrecruit_init = 20\n"))
+    assert spec.recruit_init == 20.0
+
+
+def test_spec_algorithms_default_per_kind():
+    assert ExperimentSpec(kind="bench").validate().algorithms == ALGORITHMS["bench"]
+    assert ExperimentSpec().validate().algorithms == ALGORITHMS["cover"]
+    assert ExperimentSpec(kind="bench", algorithms=("pso",)).validate().algorithms == ("pso",)

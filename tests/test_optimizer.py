@@ -1,18 +1,18 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from armyant import optimizer as op
 from armyant.optimizer import (
-    Ant,
     OptimizerConfig,
     ant_bridge,
     attack_target,
     avg_recruits,
     bridge_mutate,
     initialize,
+    merge_archive,
     prey_count,
     prey_count_raw,
     recruit,
@@ -30,28 +30,6 @@ from armyant.space import SearchSpace
 
 def sphere(x):
     return float(np.sum(x * x))
-
-
-class StubRng:
-    """Fixed-value stand-in for RandomSource in hand-evaluated operator tests."""
-
-    def __init__(self, normals=None, uniforms_open=None, cauchys=None, integers=None):
-        self._normals = list(normals or [])
-        self._uniforms = list(uniforms_open or [])
-        self._cauchys = list(cauchys or [])
-        self._integers = list(integers or [])
-
-    def normal(self, size=None):
-        return np.asarray(self._normals.pop(0))
-
-    def uniform_open(self, size=None):
-        return self._uniforms.pop(0)
-
-    def cauchy(self, size=None):
-        return np.asarray(self._cauchys.pop(0))
-
-    def integer(self, low, high):
-        return self._integers.pop(0)
 
 
 BOX = SearchSpace.cube(2, -10.0, 10.0)
@@ -133,11 +111,10 @@ def test_sample_recruit_count_distribution():
 
 def test_recruit_shapes_and_bounds():
     cfg = OptimizerConfig(population=12, max_iters=10)
-    space = SearchSpace.cube(3, 0.0, 1.0)
-    _, archive = initialize(cfg, space, sphere, RandomSource(1))
+    active = prey_count(1, cfg.max_iters)  # four prey, as after initialization
     for seed in range(5):
-        recruit_map = recruit(archive, cfg, 5, RandomSource(seed))
-        assert len(recruit_map) == archive.active_count
+        recruit_map = recruit(active, cfg, 5, RandomSource(seed))
+        assert len(recruit_map) == active
         for idx in recruit_map:
             assert len(set(idx.tolist())) == len(idx)
             assert all(0 <= i < 12 for i in idx)
@@ -147,59 +124,73 @@ def test_recruit_shapes_and_bounds():
 
 def test_scatter_zero_noise_returns_prey():
     prey, ant = np.array([1.0, 2.0]), np.array([3.0, -4.0])
-    out = scatter_position(prey, ant, StubRng(normals=[[0.0, 0.0]]), BOX)
+    out = scatter_position(prey, ant, np.array([0.0, 0.0]), BOX)
     assert np.array_equal(out, prey)
 
 
 def test_scatter_hand_case():
     prey, ant = np.array([1.0, 1.0]), np.array([0.0, 0.0])
-    out = scatter_position(prey, ant, StubRng(normals=[[1.0, 1.0]]), BOX)
+    out = scatter_position(prey, ant, np.array([1.0, 1.0]), BOX)
     assert np.array_equal(out, np.array([2.0, 2.0]))
 
 
 def test_scatter_prey_equals_ant():
     prey = np.array([0.5, -0.25])
-    out = scatter_position(prey, prey.copy(), StubRng(normals=[[7.0, -3.0]]), BOX)
+    out = scatter_position(prey, prey.copy(), np.array([7.0, -3.0]), BOX)
     assert np.array_equal(out, prey)
 
 
 def test_scatter_is_boundary_corrected():
     space = SearchSpace.cube(1, 0.0, 1.0)
-    out = scatter_position(np.array([0.9]), np.array([0.1]), StubRng(normals=[[5.0]]), space)
+    out = scatter_position(np.array([0.9]), np.array([0.1]), np.array([5.0]), space)
     assert out[0] == 1.0
 
 
 def test_attack_target_cases():
     p = np.array([0.3, 0.4])
-    assert np.array_equal(attack_target([p]), p)
-    assert np.array_equal(attack_target([np.zeros(2), np.full(2, 2.0)]), np.ones(2))
-    assert np.array_equal(attack_target([p, p, p, p]), p)
+    assert np.array_equal(attack_target(np.array([p]), [1]), [p])
+    assert np.array_equal(attack_target(np.array([np.zeros(2), np.full(2, 2.0)]), [2]), [np.ones(2)])
+    assert np.array_equal(attack_target(np.array([p, p, p, p]), [4]), [p])
     with pytest.raises(ValueError):
-        attack_target([])
+        attack_target(np.empty((0, 2)), [0])
+
+
+def test_attack_target_sums_rows_in_order():
+    # three ants owning 1, 3 and 2 rows; each target must equal the mean the
+    # per-ant form took, np.mean over the ant's rows (a sequential sum), to
+    # the bit, including the sign of a zero
+    rows = np.array([
+        [-0.0, 1.0], [1e16, -0.0], [1.0, -0.0], [1.0, -0.0], [0.1, 0.2], [0.7, 0.3],
+    ])
+    counts = [1, 3, 2]
+    targets = attack_target(rows, counts)
+    starts = np.cumsum(counts) - counts
+    for m, (s, k) in enumerate(zip(starts, counts)):
+        expected = np.mean(list(rows[s : s + k]), axis=0)
+        assert targets[m].tobytes() == expected.tobytes()
 
 
 def test_step_attack_hand_case():
-    cfg = OptimizerConfig(population=10, max_iters=5, attack_coeff=2.0)
     space = SearchSpace.cube(1, -5.0, 5.0)
-    out = step_attack(np.array([0.0]), np.array([1.0]), cfg, StubRng(uniforms_open=[0.5]), space)
-    assert out[0] == 1.0
+    out = step_attack(np.array([[0.0]]), np.array([[1.0]]), np.array([0.5]), 2.0, space)
+    assert out[0, 0] == 1.0
 
 
 def test_step_attack_zero_displacement_and_limit():
     cfg = OptimizerConfig(population=10, max_iters=5)
-    ant = np.array([2.0, -1.0])
-    out = step_attack(ant, ant.copy(), cfg, StubRng(uniforms_open=[0.7]), BOX)
+    ant = np.array([[2.0, -1.0]])
+    out = step_attack(ant, ant.copy(), np.array([0.7]), cfg.attack_coeff, BOX)
     assert np.array_equal(out, ant)
-    tiny = step_attack(np.zeros(2), np.ones(2), cfg, StubRng(uniforms_open=[1e-12]), BOX)
+    tiny = step_attack(np.zeros((1, 2)), np.ones((1, 2)), np.array([1e-12]), cfg.attack_coeff, BOX)
     assert np.all(np.abs(tiny) < 1e-10)
 
 
 def test_step_follow_zero_noise_is_midpoint():
     companions = np.array([[0.0, 0.0], [2.0, 4.0]])
-    out = step_follow(companions, StubRng(cauchys=[np.zeros((2, 2))]), BOX)
+    out = step_follow(companions, np.zeros((2, 2)), BOX)
     assert np.array_equal(out, np.array([1.0, 2.0]))
     same = np.array([[1.5, 1.5], [1.5, 1.5]])
-    out = step_follow(same, StubRng(cauchys=[np.zeros((2, 2))]), BOX)
+    out = step_follow(same, np.zeros((2, 2)), BOX)
     assert np.array_equal(out, np.array([1.5, 1.5]))
 
 
@@ -239,88 +230,109 @@ def test_prey_count_half_rounds_away_from_zero():
 # --- ant bridge ----------------------------------------------------------------
 
 def test_bridge_equal_fitness_is_mean_position():
-    ants = [Ant(np.array([0.0, 0.0]), 5.0), Ant(np.array([2.0, 4.0]), 5.0)]
-    assert np.allclose(ant_bridge(ants, 1.0), [1.0, 2.0])
+    positions, fits = np.array([[0.0, 0.0], [2.0, 4.0]]), np.array([5.0, 5.0])
+    assert np.allclose(ant_bridge(positions, fits, 1.0), [1.0, 2.0])
 
 
 def test_bridge_single_ant():
-    ants = [Ant(np.array([3.0, -1.0]), 9.0)]
-    assert np.array_equal(ant_bridge(ants, 2.0), np.array([3.0, -1.0]))
+    assert np.array_equal(ant_bridge(np.array([[3.0, -1.0]]), [9.0], 2.0), np.array([3.0, -1.0]))
 
 
 def test_bridge_weights_sum_to_one():
-    ants = [Ant(np.array([float(i), 0.0]), float(i)) for i in range(1, 6)]
+    positions = np.array([[float(i), 0.0] for i in range(1, 6)])
+    fits = np.arange(1.0, 6.0)
     best = 0.5
     f = 1.0 / (np.array([1.0, 2.0, 3.0, 4.0, 5.0]) - best + 1e-12)
     w = f / f.sum()
     assert abs(w.sum() - 1.0) <= 1e-12
-    expected = w @ np.stack([a.position for a in ants])
-    assert np.allclose(ant_bridge(ants, best), expected)
+    expected = w @ positions
+    assert np.allclose(ant_bridge(positions, fits, best), expected)
 
 
 def test_bridge_rejects_non_finite():
-    ants = [Ant(np.zeros(2), math.inf), Ant(np.ones(2), 1.0)]
     with pytest.raises(ValueError):
-        ant_bridge(ants, 0.0)
+        ant_bridge(np.array([np.zeros(2), np.ones(2)]), [math.inf, 1.0], 0.0)
 
 
 def test_bridge_mutate_hand_cases():
     space = SearchSpace.cube(2, -10.0, 10.0)
     bridge = np.array([4.0, 6.0])
 
+    def mutate(position, fitness, j, u):
+        out, out_fit = bridge_mutate(
+            np.array([position]), np.array([fitness]), bridge, np.array([j]), np.array([u]),
+            sphere, space,
+        )
+        return out[0], out_fit[0]
+
     # u = 1 and matching coordinate leaves the position unchanged
-    ant = Ant(np.array([4.0, 0.0]), sphere(np.array([4.0, 0.0])))
-    out = bridge_mutate(ant, bridge, sphere, StubRng(integers=[0], uniforms_open=[1.0]), space)
-    assert np.array_equal(out.position, ant.position)
+    ant = np.array([4.0, 0.0])
+    out, _ = mutate(ant, sphere(ant), 0, 1.0)
+    assert np.array_equal(out, ant)
 
     # u = 0.5 mutates coordinate j to bridge[j] - position[j]
-    ant = Ant(np.array([1.0, 9.0]), sphere(np.array([1.0, 9.0])))
-    out = bridge_mutate(ant, bridge, sphere, StubRng(integers=[1], uniforms_open=[0.5]), space)
-    assert np.array_equal(out.position, np.array([1.0, -3.0]))  # improved, accepted
+    ant = np.array([1.0, 9.0])
+    out, _ = mutate(ant, sphere(ant), 1, 0.5)
+    assert np.array_equal(out, np.array([1.0, -3.0]))  # improved, accepted
 
     # a worse candidate is rejected
-    ant = Ant(np.array([0.0, 0.0]), 0.0)
-    out = bridge_mutate(ant, bridge, sphere, StubRng(integers=[0], uniforms_open=[1.0]), space)
-    assert np.array_equal(out.position, np.zeros(2))
-    assert out.fitness == 0.0
+    out, out_fit = mutate(np.array([0.0, 0.0]), 0.0, 0, 1.0)
+    assert np.array_equal(out, np.zeros(2))
+    assert out_fit == 0.0
 
 
 # --- archive -------------------------------------------------------------------
 
+def archive_of(values):
+    """Archive holding one 1-D entry per value, with that value as fitness."""
+    values = np.asarray(values, dtype=float)
+    return merge_archive(np.empty((0, 1)), np.empty(0), values[:, None], values)
+
+
 def test_archive_unchanged_by_worse_population():
-    archive = op.PreyArchive([Ant(np.array([float(i)]), float(i)) for i in range(4)])
-    before = [(a.position[0], a.fitness) for a in archive.entries]
-    archive.merge([Ant(np.array([9.0]), 9.0), Ant(np.array([8.0]), 8.0)], active_count=4)
-    assert [(a.position[0], a.fitness) for a in archive.entries] == before
+    prey, prey_fit = archive_of(range(4))
+    before = list(zip(prey[:, 0], prey_fit))
+    prey, prey_fit = merge_archive(prey, prey_fit, np.array([[9.0], [8.0]]), np.array([9.0, 8.0]))
+    assert list(zip(prey[:, 0], prey_fit)) == before
 
 
 def test_archive_new_global_best_becomes_entry_zero():
-    archive = op.PreyArchive([Ant(np.array([float(i)]), float(i)) for i in range(1, 5)])
-    archive.merge([Ant(np.array([-1.0]), -1.0)], active_count=4)
-    assert archive.best.fitness == -1.0
-    assert archive.best.position[0] == -1.0
-    fits = [a.fitness for a in archive.entries]
+    prey, prey_fit = archive_of(range(1, 5))
+    prey, prey_fit = merge_archive(prey, prey_fit, np.array([[-1.0]]), np.array([-1.0]))
+    assert prey_fit[0] == -1.0
+    assert prey[0, 0] == -1.0
+    fits = prey_fit.tolist()
     assert fits == sorted(fits) and len(fits) == 4
 
 
 def test_archive_truncates_active_count_not_entries():
-    archive = op.PreyArchive([Ant(np.array([float(i)]), float(i)) for i in range(4)])
-    archive.merge([], active_count=2)
-    assert archive.active_count == 2
-    assert len(archive.entries) == 4
-    assert len(archive.active()) == 2
-    assert archive.active()[0] is archive.best
+    # the prey schedule selects how many entries act as prey; the archive
+    # itself keeps all four
+    prey, prey_fit = archive_of(range(4))
+    prey, prey_fit = merge_archive(prey, prey_fit, np.empty((0, 1)), np.empty(0))
+    active_count = prey_count(51, 100)
+    assert active_count == 2
+    assert len(prey_fit) == 4
+    assert len(prey[:active_count]) == 2
+    assert np.array_equal(prey[:active_count][0], prey[0])
+
+
+def test_archive_existing_entries_win_ties():
+    prey, prey_fit = archive_of([1.0, 2.0, 3.0, 4.0])
+    batch = np.array([[-2.0], [-1.0]])
+    prey, prey_fit = merge_archive(prey, prey_fit, batch, np.array([1.0, 2.0]))
+    assert prey[:, 0].tolist() == [1.0, -2.0, 2.0, -1.0]
+    assert prey_fit.tolist() == [1.0, 1.0, 2.0, 2.0]
 
 
 def test_archive_best_fitness_non_increasing_over_merges():
     rng = RandomSource(0)
-    archive = op.PreyArchive([Ant(rng.uniform(2), float(rng.uniform())) for _ in range(4)])
-    last = archive.best.fitness
+    prey, prey_fit = merge_archive(np.empty((0, 2)), np.empty(0), rng.uniform((4, 2)), rng.uniform(4))
+    last = prey_fit[0]
     for _ in range(20):
-        batch = [Ant(rng.uniform(2), float(rng.uniform())) for _ in range(5)]
-        archive.merge(batch, active_count=3)
-        assert archive.best.fitness <= last
-        last = archive.best.fitness
+        prey, prey_fit = merge_archive(prey, prey_fit, rng.uniform((5, 2)), rng.uniform(5))
+        assert prey_fit[0] <= last
+        last = prey_fit[0]
 
 
 # --- initialization -------------------------------------------------------------
@@ -334,11 +346,12 @@ def test_initialize_ranking_and_counts():
         calls.append(x.copy())
         return float(np.sum(x))
 
-    population, archive = initialize(cfg, space, objective, RandomSource(2))
+    positions, fitness = initialize(cfg, space, objective, RandomSource(2))
     assert len(calls) == 4
-    sums = [float(np.sum(a.position)) for a in population]
-    assert archive.best.fitness == min(sums)
-    assert len(archive.entries) == 4
+    sums = [float(np.sum(x)) for x in positions]
+    prey, prey_fit = merge_archive(np.empty((0, 2)), np.empty(0), positions, fitness)
+    assert prey_fit[0] == min(sums)
+    assert len(prey_fit) == 4
 
 
 def test_initialize_deterministic():
@@ -346,7 +359,7 @@ def test_initialize_deterministic():
     space = SearchSpace.cube(30, -5.0, 5.0)
     pop_a, _ = initialize(cfg, space, sphere, RandomSource(8))
     pop_b, _ = initialize(cfg, space, sphere, RandomSource(8))
-    assert all(np.array_equal(a.position, b.position) for a, b in zip(pop_a, pop_b))
+    assert all(np.array_equal(a, b) for a, b in zip(pop_a, pop_b))
 
 
 def test_initialize_counts_thirty():
@@ -359,20 +372,70 @@ def test_initialize_counts_thirty():
         evals += 1
         return sphere(x)
 
-    _, archive = initialize(cfg, space, objective, RandomSource(0))
+    positions, fitness = initialize(cfg, space, objective, RandomSource(0))
     assert evals == 30
-    assert len(archive.entries) == 4
+    assert len(merge_archive(np.empty((0, 30)), np.empty(0), positions, fitness)[1]) == 4
 
 
 def test_initialize_seed_positions_injected():
     cfg = OptimizerConfig(population=10, max_iters=10)
     space = SearchSpace.cube(3, 0.0, 1.0)
     seed = np.array([0.5, 0.5, 0.5])
-    population, _ = initialize(cfg, space, sphere, RandomSource(4), seed_positions=[seed])
-    assert np.array_equal(population[0].position, seed)
+    positions, _ = initialize(cfg, space, sphere, RandomSource(4), seed_positions=[seed])
+    assert np.array_equal(positions[0], seed)
 
 
 # --- full runs -------------------------------------------------------------------
+
+def rastrigin(x):
+    return float(10 * x.size + np.sum(x * x - 10 * np.cos(2 * np.pi * x)))
+
+
+def floor_l1(x):
+    return float(math.floor(np.sum(np.abs(x))))
+
+
+# name -> (objective, space, config keywords, seed positions, sha256, evaluations);
+# the digests were recorded from the per-ant sweep the array sweep replaced
+GOLDEN_RUNS = {
+    "followers": (sphere, SearchSpace.cube(3, -5.0, 5.0),
+                  dict(population=10, max_iters=40, seed=3), None,
+                  "6817dbbe66e45f2977c81558820956a036730f20a8378b7cbb88b32a6127a015", 430),
+    "bridge_every_iteration": (rastrigin, SearchSpace.cube(4, -5.12, 5.12),
+                               dict(population=9, max_iters=30, stagnation_threshold=1, seed=5), None,
+                               "17f4ced37f65b58a5eeaf3d11cdd78bec88f7909e8c59f0f6196bba4db169f10", 409),
+    "seed_positions": (sphere, SearchSpace(np.arange(5.0) - 4.0, np.arange(5.0) + 2.0),
+                       dict(population=12, max_iters=25, recruit_init=3.0, seed=8),
+                       [[0.5] * 5, [9.0, -9.0, 0.0, 1.0, 2.0]],
+                       "c05f0c07d89a0ff12318aee0af2b06cbfb9225d666fc3c17758b15854a1e2969", 330),
+    "ties": (floor_l1, SearchSpace.cube(2, -3.0, 3.0),
+             dict(population=8, max_iters=30, stagnation_threshold=2, attack_coeff=0.7, seed=7), None,
+             "f69a1ea30c4246f08c20de0825a036772f9a3ead7dc9eb5f101c00f670625a5a", 308),
+    "thirty_dim": (rastrigin, SearchSpace.cube(30, -5.12, 5.12),
+                   dict(population=30, max_iters=15, seed=11), None,
+                   "44d22fd859a792b11b03957e95cff2804c2734d7e3c3691f78066cd8d4454b66", 480),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_run_trajectory_golden(name):
+    # bit-identity pin: every evaluated point in order, the history, the best
+    # position and the evaluation count hash to the recorded digest
+    objective, space, keywords, seeds, expected_digest, expected_evals = GOLDEN_RUNS[name]
+    h = hashlib.sha256()
+
+    def probe(x):
+        h.update(x.tobytes())
+        return objective(x)
+
+    cfg = OptimizerConfig(**keywords)
+    result = run(probe, space, cfg, RandomSource(cfg.seed), seed_positions=seeds)
+    h.update(result.history.tobytes())
+    h.update(result.best_position.tobytes())
+    h.update(str(result.evaluations).encode())
+    assert result.evaluations == expected_evals
+    assert h.hexdigest() == expected_digest
+
 
 def test_run_history_monotone_and_budget():
     cfg = OptimizerConfig(population=10, max_iters=40, seed=3)
@@ -381,7 +444,7 @@ def test_run_history_monotone_and_budget():
         sphere,
         SearchSpace.cube(3, -5.0, 5.0),
         cfg,
-        observer=lambda state, archive: bridges.append(state.bridge_position is not None),
+        observer=lambda state: bridges.append(state.bridge_position is not None),
     )
     assert len(result.history) == 41
     assert np.all(np.diff(result.history) <= 0)
@@ -462,7 +525,7 @@ def test_run_positions_respect_bounds():
 def test_observer_sees_schedule():
     cfg = OptimizerConfig(population=10, max_iters=25, seed=1)
     states = []
-    run(sphere, SearchSpace.cube(2, -1.0, 1.0), cfg, observer=lambda s, a: states.append(s))
+    run(sphere, SearchSpace.cube(2, -1.0, 1.0), cfg, observer=states.append)
     assert [s.t for s in states] == list(range(1, 26))
     assert states[0].num_aver == pytest.approx(avg_recruits(1, cfg))
     for s in states:
