@@ -32,6 +32,22 @@ def _ensure_output_dir(path):
         raise OSError(f"output directory {path!r} is not writable")
 
 
+def _write_atomic(path, write, newline=None):
+    """Write ``path`` through ``write(fh)`` all at once or not at all.
+
+    The text goes to a temporary file beside ``path`` that then replaces
+    it, so a failed write leaves the previous file as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _write_curve_csv(curve, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -74,7 +90,7 @@ def run_cover(spec):
                     field, spec.node_count, spec.radius_m, alpha, RandomSource(seed)
                 )
             render_deployment_svg(sensors, field, os.path.join(out, f"layout_initial_{seed}.svg"))
-        except Exception as exc:
+        except (ValueError, OSError) as exc:
             failures.append((seed, "deploy", str(exc)))
             continue
         for algorithm in spec.algorithms:
@@ -100,14 +116,14 @@ def run_cover(spec):
                     }
                 )
                 finals[algorithm].append(run.final_rate)
-            except Exception as exc:
+            except (ValueError, OSError) as exc:
                 failures.append((seed, algorithm, str(exc)))
 
-    with open(os.path.join(out, "results.json"), "w") as fh:
+    def write_results(fh):
         json.dump(results, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    with open(os.path.join(out, "summary.csv"), "w", newline="") as fh:
+    def write_summary(fh):
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "runs", "mean_final", "std_final"])
         for algorithm in spec.algorithms:
@@ -117,6 +133,9 @@ def run_cover(spec):
                 writer.writerow(
                     [algorithm, values.size, repr(float(values.mean())), repr(std)]
                 )
+
+    _write_atomic(os.path.join(out, "results.json"), write_results)
+    _write_atomic(os.path.join(out, "summary.csv"), write_summary, newline="")
 
     if failures:
         for seed, stage, message in failures:

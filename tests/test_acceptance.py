@@ -2,12 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion (a FAIL surfaces as an ordinary pytest failure). The heavy
-experiments (criteria 4 and 9) take several minutes each.
+experiments (criteria 4 and 9) take several minutes each; they and
+criteria 3 and 5 carry the ``slow`` marker, which ``pytest -m "not slow"``
+skips.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 import armyant as aa
 from armyant.cli import analyze_report
@@ -56,6 +59,7 @@ def test_c2_expected_coverage_and_round_trip():
     report(2, f"expected coverage {value:.6f} (0.7139 +- 0.0005), round trip holds on [1, 300]")
 
 
+@pytest.mark.slow
 def test_c3_monte_carlo_initial_coverage():
     field = headline_field()
     rates = [
@@ -74,6 +78,7 @@ def test_c3_monte_carlo_initial_coverage():
     report(3, f"mean initial coverage {mean:.4f} in [0.65, 0.714], analytic bound {analytic:.4f}")
 
 
+@pytest.mark.slow
 def test_c4_headline_experiment():
     field = headline_field()
     seeds = range(1, 11)
@@ -104,6 +109,7 @@ def test_c4_headline_experiment():
               f">= VFA {mean_vfa:.4f}, PSO {mean_pso:.4f}")
 
 
+@pytest.mark.slow
 def test_c5_small_radius_spot_check():
     field = headline_field()
     finals = []
@@ -197,6 +203,7 @@ def test_c8_optimizer_operator_suite():
     report(8, "pmf normalization, 3-sigma sampling, schedule, bridge and determinism checks hold")
 
 
+@pytest.mark.slow
 def test_c9_benchmark_sanity():
     functions = ["sphere", "rosenbrock", "rastrigin", "ackley", "griewank", "schwefel"]
     stats = compare(["aaso", "random"], functions, runs=50, base_seed=1,

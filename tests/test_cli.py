@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import armyant.cli
 from armyant.benchmarks import get_benchmark
-from armyant.cli import analyze_report, main
+from armyant.cli import _write_atomic, analyze_report, main
 from armyant.harness import compare, write_statistics_csv
 from armyant.optimizer import OptimizerConfig, run
 from armyant.rng import RandomSource
@@ -211,6 +212,46 @@ def test_cover_partial_failure_lists_seeds_and_returns_nonzero(tmp_path, capsys)
     # artifacts for the failed runs are absent but the summary still exists
     assert (out / "results.json").exists()
     assert not list(out.glob("curve_*.csv"))
+
+
+def test_cover_programming_error_propagates(tmp_path, monkeypatch):
+    def broken_enhancer(*args, **kwargs):
+        raise TypeError("enhancer called wrongly")
+
+    monkeypatch.setattr(armyant.cli, "enhance_vfa", broken_enhancer)
+    config = write_config(tmp_path, TINY_COVER)
+    with pytest.raises(TypeError, match="enhancer called wrongly"):
+        main(["cover", "run", "--config", config, "--out", str(tmp_path / "out")])
+
+
+def test_atomic_write_failing_halfway_keeps_previous_file(tmp_path):
+    path = tmp_path / "results.json"
+    _write_atomic(str(path), lambda fh: fh.write("old\n"))
+
+    def fails_halfway(fh):
+        fh.write("new, part one\n")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _write_atomic(str(path), fails_halfway)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
+
+
+def test_cover_failed_results_write_keeps_previous_outputs(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path, TINY_COVER)
+    out = tmp_path / "out"
+    assert main(["cover", "run", "--config", config, "--out", str(out)]) == 0
+    before = tree_digest(out)
+
+    def dump_halfway(obj, fh, **kwargs):
+        fh.write("[")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(armyant.cli.json, "dump", dump_halfway)
+    assert main(["cover", "run", "--config", config, "--out", str(out)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert tree_digest(out) == before  # same names and bytes: no partial or temporary file
 
 
 def test_cover_unwritable_output_aborts(tmp_path, capsys):

@@ -21,7 +21,14 @@ from armyant.coverage import (
     required_nodes,
     with_deviations,
     write_deployment,
+    _CHUNK,
+    _bisect_intervals,
+    _bound,
+    _in_interval,
+    _in_sector,
     _reduce_angle,
+    _sensed,
+    _sensing_intervals,
 )
 from armyant.rng import RandomSource
 
@@ -423,6 +430,132 @@ def test_evaluator_zero_distance_entry_is_sensed_backwards():
     for theta in (0.0, PI, 4.0):
         assert ev.covered_mask([theta])[idx[zero]].all()
         assert ev.sensed_subset(0, theta)[zero].all()
+
+
+# --- exact sensing intervals (module docstring) -------------------------------------
+
+LAST = np.nextafter(TWO_PI, 0.0)
+HALF_ANGLES = st.one_of(
+    st.sampled_from([1e-9, PI, np.nextafter(PI, 0.0), PI - 1e-12]),
+    st.floats(0.0, PI, exclude_min=True),
+)
+
+
+def interval_test(theta, lo, hi):
+    shape = np.broadcast(theta, lo).shape
+    return _in_interval(theta, lo, hi, lo <= hi, np.empty(shape, dtype=bool),
+                        np.empty(shape, dtype=bool)).copy()
+
+
+def before(theta):
+    """The double before each theta, circularly over [0, 2*pi)."""
+    return np.where(theta == 0.0, LAST, np.nextafter(theta, -1.0))
+
+
+def after(theta):
+    return np.where(theta == LAST, 0.0, np.nextafter(theta, 7.0))
+
+
+def assert_intervals_exact(bearing, half, lo, hi, extra=()):
+    for theta in (lo, before(lo), hi, after(hi), np.zeros_like(lo), np.full_like(lo, LAST), *extra):
+        got = interval_test(theta, lo, hi)
+        assert np.array_equal(got, _sensed(bearing, half, TWO_PI - half, theta))
+        assert np.array_equal(got, _in_sector(1.0, bearing, theta, half))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.floats(-PI, PI), HALF_ANGLES,
+                          st.floats(0.0, TWO_PI, exclude_max=True)), min_size=1, max_size=30))
+def test_interval_test_equals_reduction_and_np_mod(entries):
+    bearing, half, theta = (np.array(column) for column in zip(*entries))
+    lo, hi = _sensing_intervals(bearing, half, False)
+    assert_intervals_exact(bearing, half, lo, hi, extra=[theta])
+    full = half == PI
+    assert np.all(lo[full] == 0.0) and np.all(hi[full] == LAST)
+
+
+def test_bisection_gives_the_bracketed_bounds():
+    rng = np.random.default_rng(3)
+    bearing = np.concatenate([rng.uniform(-PI, PI, 400), [0.0, PI, -PI, PI / 2, -PI / 2]])
+    half = np.concatenate([rng.uniform(0.0, PI, 200), np.full(205, 1e-9)])
+    half[:4] = [PI - 1e-12, np.nextafter(PI, 0.0), 1e-300, PI / 4]
+    lo, hi = _sensing_intervals(bearing, half, False)
+    blo, bhi = _bisect_intervals(bearing, half, TWO_PI - half)
+    assert np.array_equal(lo.view(np.int64), blo.view(np.int64))
+    assert np.array_equal(hi.view(np.int64), bhi.view(np.int64))
+
+
+def test_intervals_exact_across_build_chunks():
+    rng = np.random.default_rng(11)
+    n = 2 * _CHUNK + 123
+    bearing, half = rng.uniform(-PI, PI, n), rng.uniform(0.0, PI, n)
+    zero = rng.uniform(size=n) < 0.01
+    lo, hi = _sensing_intervals(bearing, half, zero)
+    assert np.all(lo[zero] == 0.0) and np.all(hi[zero] == LAST)
+    assert_intervals_exact(bearing[~zero], half[~zero], lo[~zero], hi[~zero],
+                           extra=[rng.uniform(0.0, TWO_PI, np.count_nonzero(~zero))])
+
+
+def test_zero_distance_and_full_view_are_full_sets():
+    lo, hi = _sensing_intervals(np.array([0.3, 0.3, -2.0]), np.array([0.5, PI, 0.5]),
+                               np.array([True, False, False]))
+    assert lo[:2].tolist() == [0.0, 0.0] and hi[:2].tolist() == [LAST, LAST]
+    assert interval_test(np.array([0.0, LAST, 3.0]), lo[0], hi[0]).all()
+    assert 0.0 < lo[2] < hi[2] < TWO_PI  # an ordinary entry beside them
+
+
+@pytest.mark.parametrize("bearing,wraps", [
+    (0.0, True), (0.5, True), (-0.5, True), (1.0, False), (PI, False), (-PI, False),
+    (PI / 4, False),   # lo is exactly 0
+    (-PI / 4, True),   # hi is exactly 0
+])
+def test_interval_wraps_past_two_pi(bearing, wraps):
+    half = np.array([PI / 4])
+    lo, hi = _sensing_intervals(np.array([bearing]), half, False)
+    assert (lo[0] > hi[0]) == wraps
+    ends = interval_test(np.array([0.0, LAST]), lo, hi)
+    assert ends.all() == wraps
+    assert_intervals_exact(np.array([bearing]), half, lo, hi, extra=[np.array([PI]), np.array([1.0])])
+
+
+@pytest.mark.parametrize("bearing,half", [
+    (PI / 4, PI / 4), (-PI / 4, PI / 4),           # a bound exactly at theta = 0
+    (1e-17, 1e-9), (-1e-300, 1e-300), (1e-9, 1e-9 + 1e-24),
+    (np.nextafter(PI, 0.0), np.nextafter(PI, 0.0)),
+])
+def test_bounds_next_to_zero_are_exact(bearing, half):
+    bearing, half = np.array([bearing]), np.array([half])
+    lo, hi = _sensing_intervals(bearing, half, False)
+    assert_intervals_exact(bearing, half, lo, hi)
+    blo, bhi = _bisect_intervals(bearing, half, TWO_PI - half)
+    assert np.array_equal(lo, blo) and np.array_equal(hi, bhi)
+
+
+def test_bracket_crossing_zero_falls_back_to_bisection():
+    bearing = half = np.array([PI / 4])  # lo is exactly 0
+    _, ok = _bound(bearing, half, TWO_PI - half, bearing - half, rising=True)
+    assert not ok[0]
+    lo, _ = _sensing_intervals(bearing, half, False)
+    assert lo[0] == 0.0
+
+
+def test_covered_mask_matches_reduction_at_interval_bounds():
+    field = CoverageField(150, 150, 5)
+    sensors = random_deployment(field, 12, 35.0, 1.3, RandomSource(17))
+    ev = CoverageEvaluator(sensors, field)
+    rng = np.random.default_rng(17)
+    for pick in (ev._lo, ev._hi, before(ev._lo), after(ev._hi), None):
+        if pick is None:
+            angles = rng.uniform(0.0, TWO_PI, len(sensors))
+        else:  # each sensor sits on a bound of one of its entries
+            angles = np.array([pick[rng.integers(p.start, p.stop)] for p in ev._parts])
+        expected = np.zeros(field.grid_count, dtype=bool)
+        for i, (idx, bearing, zero) in enumerate(ev.per_sensor):
+            half = sensors[i].view_angle / 2.0
+            sensed = zero | _sensed(bearing, half, TWO_PI - half, angles[i])
+            expected[idx[sensed]] = True
+            assert np.array_equal(ev.sensed_subset(i, angles[i]), sensed)
+        assert np.array_equal(ev.covered_mask(angles), expected)
 
 
 # --- evaluator results do not alias its scratch buffers ----------------------------------

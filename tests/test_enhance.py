@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -147,3 +148,34 @@ def test_empty_sensor_list_rejected():
         enhance_vfa([], field)
     with pytest.raises(ValueError):
         enhance_pso([], field)
+
+
+# name -> (sha256 of curve bytes, sha256 of best-angle bytes, evaluations), recorded
+# with the two-add reduction kernel; any change in a sensed entry shows up here
+ENHANCE_GOLDEN = {
+    "aaso": ("d37ff57947e1821c68977033f29520b0b672ec2da5c8d0db8492952ea9a8dafe",
+             "f5a62087c856cd3f5fc6de2119e1e6f9122602e54c3424fdfc6121a68b27f39d", 430),
+    "pso": ("a3b94145cefc8b9351013f72aa239ee4365649a870f5d720b04fd32437d9b7c1",
+            "bfbef12459c10471ed8a5cd851268f1e47270ef5e5bfed82a0a7647fd5dbc53d", 420),
+    "vfa": ("40ee0102660989c753793acb38e047554ffafcf099954ae89f7b2dbe36a8ea37",
+            "33ed2e03ed4e3c705072d4650a37877da9743dbacf1431373f34f7c0a854e079", 420),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENHANCE_GOLDEN))
+def test_enhance_golden(name):
+    field = aa.CoverageField(200, 200, 10)  # 20 x 20 grids
+    sensors = aa.random_deployment(field, 20, 40.0, PI / 2, RandomSource(13))
+    if name == "aaso":
+        cfg = aa.OptimizerConfig(population=20, max_iters=20, seed=13)
+        run = enhance_aaso(sensors, field, cfg, RandomSource(13))
+    elif name == "pso":
+        run = enhance_pso(sensors, field, aa.PSOParams(swarm=20, iters=20), RandomSource(13))
+    else:
+        run = enhance_vfa(sensors, field, VFAParams(max_iters=20), RandomSource(13))
+    got = (
+        hashlib.sha256(run.curve.tobytes()).hexdigest(),
+        hashlib.sha256(run.best_angles.angles.tobytes()).hexdigest(),
+        run.evaluations,
+    )
+    assert got == ENHANCE_GOLDEN[name]
