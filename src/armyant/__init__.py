@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .baselines import PSOParams, pso_run, random_search_run
-from .benchmarks import BenchmarkFunction, eval_benchmark, get_benchmark
+from .benchmarks import BenchmarkFunction, get_benchmark
 from .coverage import (
     CoverageEvaluator,
     CoverageField,
@@ -17,7 +17,7 @@ from .coverage import (
 )
 from .enhance import EnhancementRun, VFAParams, enhance_aaso, enhance_pso, enhance_vfa
 from .harness import RunStatistics, compare
-from .optimizer import OptimizerConfig, RunResult, run
+from .optimizer import OptimizerConfig, RunResult, rowwise, run
 from .rng import RandomSource
 from .space import SearchSpace
 
@@ -41,12 +41,12 @@ __all__ = [
     "enhance_aaso",
     "enhance_pso",
     "enhance_vfa",
-    "eval_benchmark",
     "expected_initial_coverage",
     "get_benchmark",
     "pso_run",
     "random_deployment",
     "random_search_run",
     "required_nodes",
+    "rowwise",
     "run",
 ]

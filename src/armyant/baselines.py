@@ -29,6 +29,9 @@ class PSOParams:
 def pso_run(objective, space, params, rng, seed_positions=None):
     """Global-best PSO with zero initial velocities and synchronous updates.
 
+    ``objective`` maps an (n, D) block to its (n,) values; the swarm is
+    evaluated as one block at initialization and in each iteration.
+
     Per iteration the two acceleration draws are (swarm, dim) uniform blocks,
     velocities are clamped per dimension to +-(upper - lower), and positions
     are clamped into the box. History index 0 is the best after
@@ -43,7 +46,7 @@ def pso_run(objective, space, params, rng, seed_positions=None):
         seeds = np.atleast_2d(np.asarray(seed_positions, dtype=float))
         positions[: seeds.shape[0]] = space.apply_bounds(seeds)
     velocities = np.zeros((n, d))
-    fitness = np.array([obj(positions[i]) for i in range(n)])
+    fitness = obj(positions)
     evaluations = n
 
     pbest = positions.copy()
@@ -65,7 +68,7 @@ def pso_run(objective, space, params, rng, seed_positions=None):
         )
         velocities = np.clip(velocities, -v_max, v_max)
         positions = space.apply_bounds(positions + velocities)
-        fitness = np.array([obj(positions[i]) for i in range(n)])
+        fitness = obj(positions)
         evaluations += n
 
         improved = fitness < pbest_fit
@@ -87,7 +90,9 @@ def random_search_run(objective, space, budget, rng, record_every=1):
     (and after the final partial block), so a record_every equal to a swarm
     size yields iteration-aligned traces. Each block of ``record_every``
     samples is drawn at once (the same doubles as one draw per sample) and
-    evaluated one sample at a time, in order.
+    evaluated as one block. The block's first minimum replaces the best
+    only when strictly lower, so ties keep the earliest sample, as one
+    sample at a time would.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -98,9 +103,10 @@ def random_search_run(objective, space, budget, rng, record_every=1):
     best_fit = math.inf
     history = []
     for start in range(0, budget, record_every):
-        for x in space.sample_uniform(rng, min(record_every, budget - start)):
-            f = obj(x)
-            if f < best_fit:
-                best, best_fit = x, f
+        block = space.sample_uniform(rng, min(record_every, budget - start))
+        values = obj(block)
+        i = int(np.argmin(values))
+        if values[i] < best_fit:
+            best, best_fit = block[i], float(values[i])
         history.append(best_fit)
     return RunResult(best.copy(), best_fit, np.array(history), budget)

@@ -1,4 +1,10 @@
-"""Classic benchmark objectives with analytically known optima."""
+"""Classic benchmark objectives with analytically known optima.
+
+Each function maps an ``(n, D)`` block of points to the ``(n,)`` vector of
+their values, one row per point, reducing over the last axis. On a
+C-contiguous block every row reduces exactly as the same row on its own
+does, so a block's values equal the per-point values to the bit.
+"""
 
 import math
 from dataclasses import dataclass
@@ -15,34 +21,35 @@ _SCHWEFEL_OFFSET = _SCHWEFEL_X * math.sin(math.sqrt(_SCHWEFEL_X))
 
 
 def sphere(x):
-    return float(np.sum(x * x))
+    return np.sum(x * x, axis=-1)
 
 
 def rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.sum(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
 def rastrigin(x):
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
 
 def ackley(x):
-    d = x.size
-    return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x) / d))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * x)) / d)
+    d = x.shape[-1]
+    return (
+        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x, axis=-1) / d))
+        - np.exp(np.sum(np.cos(2.0 * np.pi * x), axis=-1) / d)
         + 20.0
         + math.e
     )
 
 
 def griewank(x):
-    i = np.arange(1, x.size + 1)
-    return float(np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))) + 1.0)
+    i = np.arange(1, x.shape[-1] + 1)
+    return np.sum(x * x, axis=-1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=-1) + 1.0
 
 
 def schwefel(x):
-    return float(_SCHWEFEL_OFFSET * x.size - np.sum(x * np.sin(np.sqrt(np.abs(x)))))
+    return _SCHWEFEL_OFFSET * x.shape[-1] - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
 @dataclass
@@ -52,10 +59,15 @@ class BenchmarkFunction:
     box: SearchSpace
     known_optimum: float
     optimum_position: np.ndarray | None
-    func: Callable[[np.ndarray], float]
+    func: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x):
-        return self.func(np.asarray(x, dtype=float))
+        """Values of an ``(n, D)`` block as an ``(n,)`` array; one point gives a float."""
+        # C order: the row reductions of a strided block can visit the
+        # elements in another order and round differently
+        x = np.ascontiguousarray(x, dtype=float)
+        values = self.func(x)
+        return float(values) if x.ndim == 1 else values
 
 
 _CATALOG = {
@@ -84,9 +96,3 @@ def get_benchmark(name, dim):
         optimum_position=np.full(dim, float(opt_coord)),
         func=func,
     )
-
-
-def eval_benchmark(name, x):
-    """Evaluate a named benchmark at a point."""
-    x = np.asarray(x, dtype=float)
-    return get_benchmark(name, x.size)(x)

@@ -1,6 +1,6 @@
 """Army ant search optimizer (AASO).
 
-A population of ants minimizes a scalar objective over a box-bounded
+A population of ants minimizes an objective over a box-bounded
 continuous space. An archive of up to four prey (the best solutions found
 so far) recruits ants each iteration; recruited ants scatter around their
 prey with Gaussian noise and attack the mean scatter position, while
@@ -11,6 +11,10 @@ of the population when the global best stagnates.
 
 The population is an (N, D) position array with an (N,) fitness vector;
 the prey archive holds the (<=4, D) best positions so far, ascending.
+
+Objectives are evaluated a block at a time: they take a C-contiguous
+(n, D) array of points and return the (n,) array of their values.
+``rowwise`` adapts a callable that scores one point.
 
 Deterministic draw order (per iteration, one ``RandomSource``):
 recruit counts for prey 0..active-1, then their index selections; then
@@ -25,8 +29,9 @@ a lower index contributes its new row, any other its pre-sweep row, as
 in a sweep that updates positions in place. The attack target must add
 an ant's scatter rows to +0.0 one after another in prey order, as
 ``np.mean`` does; another order rounds differently or flips the sign of
-a zero. Objective evaluations happen after the sweep, consume no draws,
-and run sequentially in ant-index order.
+a zero. Objective evaluations consume no draws: one block of the whole
+population after the sweep, plus one block of the bridge candidates when
+the bridge fires.
 """
 
 import math
@@ -114,11 +119,6 @@ def truncated_poisson_pmf(lam, n_max):
     log_p = k * math.log(lam) - lam - log_fact
     p = np.exp(log_p - log_p.max())
     return p / p.sum()
-
-
-def sample_recruit_count(lam, n_max, rng):
-    """Roulette-sample how many ants a prey recruits, in {0..n_max}."""
-    return rng.roulette(truncated_poisson_pmf(lam, n_max))
 
 
 def recruit(n_prey, config, t, rng):
@@ -236,30 +236,53 @@ def bridge_mutate(positions, fitness, bridge, dims, u, objective, space):
 
     Row m's candidate replaces coordinate j = dims[m] with
     2*u[m]*bridge[j] - positions[m, j], u in (0, 1]. Candidates are
-    boundary-corrected and evaluated in row order, and each row keeps the
+    boundary-corrected and evaluated as one block, and each row keeps the
     better of the pair. Returns new (positions, fitness) arrays.
     """
     rows = np.arange(len(dims))
     candidates = positions.copy()
     candidates[rows, dims] = 2.0 * u * bridge[dims] - positions[rows, dims]
     candidates = space.apply_bounds(candidates)
-    cand_fitness = np.array([objective(c) for c in candidates])
+    cand_fitness = objective(candidates)
     better = cand_fitness < fitness
     return np.where(better[:, None], candidates, positions), np.where(better, cand_fitness, fitness)
 
 
+def rowwise(objective):
+    """Adapt an objective that scores one point to the block protocol.
+
+    The returned callable calls ``objective`` on each row of a block, in
+    row order, and collects the values as floats.
+    """
+
+    def block(x):
+        return np.array([float(objective(row)) for row in x])
+
+    return block
+
+
 def _checked(objective):
+    """The block objective; its values must be one finite float per row."""
+
     def wrapped(x):
-        value = float(objective(x))
-        if not math.isfinite(value):
-            raise ValueError(f"objective returned non-finite value {value!r} at {x!r}")
-        return value
+        values = np.asarray(objective(x), dtype=float)
+        if values.shape != (len(x),):
+            raise ValueError(
+                f"objective returned shape {values.shape} for a block of {len(x)} points"
+            )
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"objective returned non-finite value {float(values[i])!r} at row {i}: {x[i]!r}"
+            )
+        return values
 
     return wrapped
 
 
 def initialize(config, space, objective, rng, seed_positions=None):
-    """Uniform random population and its fitness, evaluated in row order.
+    """Uniform random population and its fitness, evaluated as one block.
 
     ``seed_positions`` optionally overwrites the first rows of the sampled
     block (the full block is drawn either way, so injecting incumbents does
@@ -271,12 +294,13 @@ def initialize(config, space, objective, rng, seed_positions=None):
         if seeds.shape[0] > config.population or seeds.shape[1] != space.dim:
             raise ValueError("seed positions must fit the population and dimension")
         positions[: seeds.shape[0]] = space.apply_bounds(seeds)
-    return positions, np.array([objective(x) for x in positions])
+    return positions, objective(positions)
 
 
 def run(objective, space, config, rng=None, observer=None, seed_positions=None):
     """Minimize ``objective`` over ``space``; returns the best solution found.
 
+    ``objective`` maps an (n, D) block to its (n,) values (see ``rowwise``).
     ``history`` holds the best fitness after initialization (index 0) and
     after each iteration (index t), so it is non-increasing by construction.
     Exactly N evaluations happen per iteration plus ceil(N/2) extra whenever
@@ -291,7 +315,7 @@ def run(objective, space, config, rng=None, observer=None, seed_positions=None):
 
     def evaluate(x):
         nonlocal evaluations
-        evaluations += 1
+        evaluations += len(x)
         return obj(x)
 
     n, d = config.population, space.dim
@@ -334,7 +358,7 @@ def run(objective, space, config, rng=None, observer=None, seed_positions=None):
             moved[i] = step_follow(companions, noise, space)
 
         positions = moved
-        fitness = np.array([evaluate(x) for x in positions])
+        fitness = evaluate(positions)
         best_before = prey[0]
         prey, prey_fitness = merge_archive(prey, prey_fitness, positions, fitness)
         stagnation = stagnation + 1 if np.array_equal(prey[0], best_before) else 0

@@ -39,8 +39,13 @@ class SearchSpace:
         return self.upper - self.lower
 
     def apply_bounds(self, x):
-        """Return a copy of ``x`` clamped into the box."""
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+        """Return a copy of ``x`` clamped into the box.
+
+        A coordinate equal to a bound up to the sign of zero takes the
+        bound's bits. ``np.maximum``/``np.minimum`` resolve that tie the
+        same way for every array shape; ``np.clip`` does not.
+        """
+        return np.minimum(np.maximum(np.asarray(x, dtype=float), self.lower), self.upper)
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)

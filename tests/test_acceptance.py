@@ -193,7 +193,7 @@ def test_c8_optimizer_operator_suite():
 
     # monotone best-so-far histories and bit-identical seeded trajectories
     space = SearchSpace.cube(5, -3.0, 3.0)
-    sphere = lambda x: float(np.sum(x * x))
+    sphere = aa.rowwise(lambda x: float(np.sum(x * x)))
     cfg = OptimizerConfig(population=12, max_iters=40, seed=99)
     first = run(sphere, space, cfg, RandomSource(99))
     second = run(sphere, space, cfg, RandomSource(99))

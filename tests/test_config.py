@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -128,3 +129,21 @@ def test_spec_algorithms_default_per_kind():
     assert ExperimentSpec(kind="bench").validate().algorithms == ALGORITHMS["bench"]
     assert ExperimentSpec().validate().algorithms == ALGORITHMS["cover"]
     assert ExperimentSpec(kind="bench", algorithms=("pso",)).validate().algorithms == ("pso",)
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+def test_example_configs_parse():
+    headline = parse_config(EXAMPLES / "headline.conf")
+    assert (headline.kind, headline.node_count, headline.radius_m, headline.view_angle_deg) == (
+        "cover", 110, 60.0, 90.0
+    )
+    assert headline.algorithms == ("aaso", "vfa", "pso")
+    assert headline.seeds == tuple(range(1, 11))
+    bench = parse_config(EXAMPLES / "bench.conf")
+    assert (bench.kind, bench.dimension, bench.population, bench.iterations, bench.runs) == (
+        "bench", 30, 30, 1000, 50
+    )
+    assert bench.algorithms == ALGORITHMS["bench"]
+    assert len(bench.functions) == 6

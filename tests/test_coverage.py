@@ -255,20 +255,35 @@ def test_required_nodes_round_trip():
 def test_cepw_fitness_full_and_half_and_empty():
     field = CoverageField(10, 10, 5)  # four grids
     omni = Sensor(5.0, 5.0, 20.0, 2 * PI, 0.0)
-    assert CoverageEvaluator([omni], field).fitness(np.array([0.0])) == 1.0
+    assert CoverageEvaluator([omni], field).fitness(np.array([[0.0]])).tolist() == [1.0]
 
     field2 = CoverageField(10, 5, 5)  # two grids
     one_cell = Sensor(2.5, 2.5, 1.0, 2 * PI, 0.0)
-    assert CoverageEvaluator([one_cell], field2).fitness(np.array([0.0])) == 2.0
+    assert CoverageEvaluator([one_cell], field2).fitness(np.array([[0.0]])).tolist() == [2.0]
 
     blind = Sensor(4.0, 4.0, 0.5, 0.3, 0.0)  # reaches no centroid
-    assert CoverageEvaluator([blind], field2).fitness(np.array([0.0])) == 4.0  # grid_count squared
+    # grid_count squared
+    assert CoverageEvaluator([blind], field2).fitness(np.array([[0.0]])).tolist() == [4.0]
 
 
 def test_cepw_fitness_length_mismatch():
     field = CoverageField(10, 10, 5)
-    with pytest.raises(ValueError):
-        CoverageEvaluator([Sensor(5, 5, 3, PI)], field).fitness(np.array([0.0, 1.0]))
+    evaluator = CoverageEvaluator([Sensor(5, 5, 3, PI)], field)
+    with pytest.raises(ValueError, match="one angle per sensor"):
+        evaluator.fitness(np.array([[0.0, 1.0]]))
+    with pytest.raises(ValueError, match="block"):
+        evaluator.fitness(np.array([0.0]))
+
+
+def test_cepw_fitness_block_rows_match_single_rows():
+    field = CoverageField(60, 60, 5)
+    sensors = random_deployment(field, 3, 20.0, PI / 2, RandomSource(12))
+    evaluator = CoverageEvaluator(sensors, field)
+    block = RandomSource(5).uniform((6, 3)) * 2 * PI
+    values = evaluator.fitness(block)
+    assert values.shape == (6,)
+    for row, value in zip(block, values):
+        assert value == field.grid_count / evaluator.covered_count(row)
 
 
 def test_cepw_argmin_matches_rate_argmax():
@@ -277,7 +292,7 @@ def test_cepw_argmin_matches_rate_argmax():
     rng = RandomSource(99)
     candidates = [rng.uniform(3) * 2 * PI for _ in range(8)]
     evaluator = CoverageEvaluator(sensors, field)
-    fits = [evaluator.fitness(c) for c in candidates]
+    fits = evaluator.fitness(np.array(candidates))
     rates = [coverage(with_deviations(sensors, c), field).rate for c in candidates]
     assert int(np.argmin(fits)) == int(np.argmax(rates))
 
@@ -339,13 +354,27 @@ def test_canonicalize_angle():
     assert np.all(arr >= 0.0) and np.all(arr < 2 * PI)
 
 
-def test_evaluator_matches_oneshot_coverage():
+@settings(max_examples=25)
+@given(st.integers(0, 10_000))
+def test_evaluator_matches_oneshot_coverage(seed):
+    # the one-shot path tests entries directly; the evaluator tests the
+    # intervals read off that test: the masks must agree
+    rng = RandomSource(seed)
     field = CoverageField(100, 100, 5)
-    sensors = random_deployment(field, 8, 30.0, PI / 2, RandomSource(21))
+    sensors = random_deployment(
+        field, 8, 10 + float(rng.uniform()) * 40, 0.2 + float(rng.uniform()) * (2 * PI - 0.2), rng
+    )
+    # a sensor on a grid centroid and an omnidirectional one
+    sensors += [Sensor(52.5, 47.5, 20.0, PI / 3, float(rng.uniform()) * 2 * PI),
+                Sensor(20.0, 70.0, 15.0, 2 * PI, 1.0)]
     ev = CoverageEvaluator(sensors, field)
     angles = np.array([s.deviation for s in sensors])
-    assert ev.covered_count(angles) == coverage(sensors, field).covered_count
+    assert np.array_equal(ev.covered_mask(angles), coverage(sensors, field).covered)
     assert ev.rate(angles) == coverage(sensors, field).rate
+    # a deviation assigned after construction is not canonicalized yet
+    sensors[0].deviation += 4 * PI
+    angles = np.array([s.deviation for s in sensors])
+    assert np.array_equal(ev.covered_mask(angles), coverage(sensors, field).covered)
 
 
 # --- exact two-add reduction (module docstring) ----------------------------------------

@@ -17,8 +17,8 @@ from armyant.optimizer import (
     prey_count_raw,
     recruit,
     round_half_away,
+    rowwise,
     run,
-    sample_recruit_count,
     scatter_position,
     step_attack,
     step_follow,
@@ -95,12 +95,14 @@ def test_truncated_poisson_matches_factorial_oracle():
     assert np.max(np.abs(truncated_poisson_pmf(lam, n_max) - expected)) < 1e-12
 
 
-def test_sample_recruit_count_distribution():
+def test_recruit_count_distribution():
+    # at t = 0 the mean recruit count is recruit_init, so each prey's count
+    # follows the Poisson(1) wheel truncated to the population of 10
     lam, n_max, n_draws = 1.0, 10, 100000
     pmf = truncated_poisson_pmf(lam, n_max)
-    rng = RandomSource(17)
-    draws = np.array([sample_recruit_count(lam, n_max, rng) for _ in range(n_draws)])
-    counts = np.bincount(draws, minlength=n_max + 1)
+    cfg = OptimizerConfig(population=n_max, max_iters=10, recruit_init=lam)
+    recruit_map = recruit(n_draws, cfg, 0, RandomSource(17))
+    counts = np.bincount([len(idx) for idx in recruit_map], minlength=n_max + 1)
     mode = int(np.argmax(counts))
     assert mode in (0, 1)
     for k in range(n_max + 1):
@@ -261,7 +263,7 @@ def test_bridge_mutate_hand_cases():
     def mutate(position, fitness, j, u):
         out, out_fit = bridge_mutate(
             np.array([position]), np.array([fitness]), bridge, np.array([j]), np.array([u]),
-            sphere, space,
+            rowwise(sphere), space,
         )
         return out[0], out_fit[0]
 
@@ -346,7 +348,7 @@ def test_initialize_ranking_and_counts():
         calls.append(x.copy())
         return float(np.sum(x))
 
-    positions, fitness = initialize(cfg, space, objective, RandomSource(2))
+    positions, fitness = initialize(cfg, space, rowwise(objective), RandomSource(2))
     assert len(calls) == 4
     sums = [float(np.sum(x)) for x in positions]
     prey, prey_fit = merge_archive(np.empty((0, 2)), np.empty(0), positions, fitness)
@@ -357,8 +359,8 @@ def test_initialize_ranking_and_counts():
 def test_initialize_deterministic():
     cfg = OptimizerConfig(population=30, max_iters=10)
     space = SearchSpace.cube(30, -5.0, 5.0)
-    pop_a, _ = initialize(cfg, space, sphere, RandomSource(8))
-    pop_b, _ = initialize(cfg, space, sphere, RandomSource(8))
+    pop_a, _ = initialize(cfg, space, rowwise(sphere), RandomSource(8))
+    pop_b, _ = initialize(cfg, space, rowwise(sphere), RandomSource(8))
     assert all(np.array_equal(a, b) for a, b in zip(pop_a, pop_b))
 
 
@@ -372,7 +374,7 @@ def test_initialize_counts_thirty():
         evals += 1
         return sphere(x)
 
-    positions, fitness = initialize(cfg, space, objective, RandomSource(0))
+    positions, fitness = initialize(cfg, space, rowwise(objective), RandomSource(0))
     assert evals == 30
     assert len(merge_archive(np.empty((0, 30)), np.empty(0), positions, fitness)[1]) == 4
 
@@ -381,8 +383,63 @@ def test_initialize_seed_positions_injected():
     cfg = OptimizerConfig(population=10, max_iters=10)
     space = SearchSpace.cube(3, 0.0, 1.0)
     seed = np.array([0.5, 0.5, 0.5])
-    positions, _ = initialize(cfg, space, sphere, RandomSource(4), seed_positions=[seed])
+    positions, _ = initialize(cfg, space, rowwise(sphere), RandomSource(4), seed_positions=[seed])
     assert np.array_equal(positions[0], seed)
+
+
+# --- block objectives ------------------------------------------------------------
+
+def test_rowwise_calls_rows_in_order():
+    calls = []
+
+    def first(x):
+        calls.append(x.copy())
+        return x[0]
+
+    block = np.arange(12.0).reshape(4, 3)
+    values = rowwise(first)(block)
+    assert [c.tolist() for c in calls] == block.tolist()
+    assert values.tolist() == [0.0, 3.0, 6.0, 9.0]
+    assert values.dtype == float
+
+
+def test_non_finite_error_names_first_bad_row():
+    def objective(x):
+        values = np.sum(x, axis=1)
+        values[[2, 4]] = [math.inf, math.nan]
+        return values
+
+    space = SearchSpace.cube(2, 0.0, 1.0)
+    cfg = OptimizerConfig(population=6, max_iters=3, seed=0)
+    with pytest.raises(ValueError, match="non-finite value inf at row 2: ") as info:
+        run(objective, space, cfg, RandomSource(0))
+    assert repr(space.sample_uniform(RandomSource(0), 6)[2]) in str(info.value)
+
+
+def test_run_rejects_wrong_value_count():
+    cfg = OptimizerConfig(population=6, max_iters=3, seed=0)
+    with pytest.raises(ValueError, match="shape"):
+        run(lambda x: np.sum(x), SearchSpace.cube(2, 0.0, 1.0), cfg)
+
+
+def test_run_evaluates_one_contiguous_block_per_step():
+    # one population block at initialization and per iteration, plus one
+    # block of ceil(N/2) candidates per bridge fire
+    shapes = []
+
+    def objective(x):
+        assert x.flags.c_contiguous
+        shapes.append(x.shape)
+        return np.sum(x * x, axis=1)
+
+    bridges = []
+    cfg = OptimizerConfig(population=9, max_iters=30, stagnation_threshold=1, seed=5)
+    result = run(objective, SearchSpace.cube(4, -5.12, 5.12), cfg,
+                 observer=lambda state: bridges.append(state.bridge_position is not None))
+    assert shapes.count((9, 4)) == 31
+    assert shapes.count((5, 4)) == sum(bridges) > 0
+    assert len(shapes) == 31 + sum(bridges)
+    assert result.evaluations == sum(n for n, _ in shapes)
 
 
 # --- full runs -------------------------------------------------------------------
@@ -429,7 +486,7 @@ def test_run_trajectory_golden(name):
         return objective(x)
 
     cfg = OptimizerConfig(**keywords)
-    result = run(probe, space, cfg, RandomSource(cfg.seed), seed_positions=seeds)
+    result = run(rowwise(probe), space, cfg, RandomSource(cfg.seed), seed_positions=seeds)
     h.update(result.history.tobytes())
     h.update(result.best_position.tobytes())
     h.update(str(result.evaluations).encode())
@@ -441,7 +498,7 @@ def test_run_history_monotone_and_budget():
     cfg = OptimizerConfig(population=10, max_iters=40, seed=3)
     bridges = []
     result = run(
-        sphere,
+        rowwise(sphere),
         SearchSpace.cube(3, -5.0, 5.0),
         cfg,
         observer=lambda state: bridges.append(state.bridge_position is not None),
@@ -455,7 +512,7 @@ def test_run_history_monotone_and_budget():
 
 def test_run_constant_objective():
     cfg = OptimizerConfig(population=8, max_iters=15, seed=0)
-    result = run(lambda x: 7.0, SearchSpace.cube(2, 0.0, 1.0), cfg)
+    result = run(rowwise(lambda x: 7.0), SearchSpace.cube(2, 0.0, 1.0), cfg)
     assert result.best_fitness == 7.0
     assert np.all(result.history == 7.0)
 
@@ -463,8 +520,8 @@ def test_run_constant_objective():
 def test_run_deterministic_trajectory():
     cfg = OptimizerConfig(population=12, max_iters=30, seed=21)
     space = SearchSpace.cube(4, -3.0, 3.0)
-    a = run(sphere, space, cfg, RandomSource(21))
-    b = run(sphere, space, cfg, RandomSource(21))
+    a = run(rowwise(sphere), space, cfg, RandomSource(21))
+    b = run(rowwise(sphere), space, cfg, RandomSource(21))
     assert np.array_equal(a.history, b.history)
     assert np.array_equal(a.best_position, b.best_position)
     assert a.evaluations == b.evaluations
@@ -472,15 +529,15 @@ def test_run_deterministic_trajectory():
 
 def test_run_uses_config_seed_when_rng_omitted():
     cfg = OptimizerConfig(population=10, max_iters=10, seed=77)
-    a = run(sphere, SearchSpace.cube(2, -1.0, 1.0), cfg)
-    b = run(sphere, SearchSpace.cube(2, -1.0, 1.0), cfg, RandomSource(77))
+    a = run(rowwise(sphere), SearchSpace.cube(2, -1.0, 1.0), cfg)
+    b = run(rowwise(sphere), SearchSpace.cube(2, -1.0, 1.0), cfg, RandomSource(77))
     assert np.array_equal(a.history, b.history)
 
 
 def test_run_rejects_non_finite_objective():
     cfg = OptimizerConfig(population=5, max_iters=5, seed=0)
     with pytest.raises(ValueError, match="non-finite"):
-        run(lambda x: math.nan, SearchSpace.cube(2, 0.0, 1.0), cfg)
+        run(rowwise(lambda x: math.nan), SearchSpace.cube(2, 0.0, 1.0), cfg)
 
 
 def test_run_sphere_success_rate():
@@ -489,7 +546,7 @@ def test_run_sphere_success_rate():
     hits = 0
     for seed in range(1, 51):
         cfg = OptimizerConfig(population=20, max_iters=200, seed=seed)
-        hits += run(sphere, space, cfg).best_fitness <= 1e-3
+        hits += run(rowwise(sphere), space, cfg).best_fitness <= 1e-3
     assert hits >= 45
 
 
@@ -500,10 +557,10 @@ def test_run_affine_equivariance(seed):
     # objective can eventually flip a greedy accept decision and fork the runs
     shift = np.array([3.0, -2.0])
     cfg = OptimizerConfig(population=15, max_iters=30, seed=seed)
-    base = run(sphere, SearchSpace.cube(2, -5.0, 5.0), cfg, RandomSource(seed))
+    base = run(rowwise(sphere), SearchSpace.cube(2, -5.0, 5.0), cfg, RandomSource(seed))
     shifted_space = SearchSpace(shift + np.full(2, -5.0), shift + np.full(2, 5.0))
     shifted = run(
-        lambda x: sphere(x - shift), shifted_space, cfg, RandomSource(seed)
+        rowwise(lambda x: sphere(x - shift)), shifted_space, cfg, RandomSource(seed)
     )
     assert np.allclose(shifted.best_position, base.best_position + shift, atol=1e-8)
     assert np.allclose(shifted.history, base.history, atol=1e-8)
@@ -517,7 +574,7 @@ def test_run_positions_respect_bounds():
         return sphere(x)
 
     cfg = OptimizerConfig(population=8, max_iters=20, seed=9)
-    run(probe, SearchSpace.cube(3, -1.0, 2.0), cfg)
+    run(rowwise(probe), SearchSpace.cube(3, -1.0, 2.0), cfg)
     stacked = np.stack(seen)
     assert np.all(stacked >= -1.0) and np.all(stacked <= 2.0)
 
@@ -525,7 +582,7 @@ def test_run_positions_respect_bounds():
 def test_observer_sees_schedule():
     cfg = OptimizerConfig(population=10, max_iters=25, seed=1)
     states = []
-    run(sphere, SearchSpace.cube(2, -1.0, 1.0), cfg, observer=states.append)
+    run(rowwise(sphere), SearchSpace.cube(2, -1.0, 1.0), cfg, observer=states.append)
     assert [s.t for s in states] == list(range(1, 26))
     assert states[0].num_aver == pytest.approx(avg_recruits(1, cfg))
     for s in states:
@@ -549,7 +606,7 @@ def test_archive_best_equals_global_min_of_evaluations():
         return v
 
     cfg = OptimizerConfig(population=10, max_iters=30, seed=4)
-    result = run(tracking, SearchSpace.cube(3, -2.0, 2.0), cfg)
+    result = run(rowwise(tracking), SearchSpace.cube(3, -2.0, 2.0), cfg)
     assert result.best_fitness == min(values)
 
 
@@ -557,7 +614,7 @@ def test_archive_best_equals_global_min_of_evaluations():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_run_histories_never_increase(seed):
     cfg = OptimizerConfig(population=6, max_iters=10, seed=seed)
-    result = run(sphere, SearchSpace.cube(2, -4.0, 4.0), cfg)
+    result = run(rowwise(sphere), SearchSpace.cube(2, -4.0, 4.0), cfg)
     assert np.all(np.diff(result.history) <= 0)
 
 
@@ -571,7 +628,7 @@ def test_runtime_scaling_soft():
     def timed(pop, iters):
         cfg = OptimizerConfig(population=pop, max_iters=iters, seed=1)
         start = time.perf_counter()
-        run(sphere, space, cfg, RandomSource(1))
+        run(rowwise(sphere), space, cfg, RandomSource(1))
         return time.perf_counter() - start
 
     timed(20, 30)  # warm-up

@@ -46,3 +46,25 @@ def test_contains():
     clamp = SearchSpace.cube(2, 0.0, 1.0)
     assert clamp.contains(np.array([0.0, 1.0]))
     assert not clamp.contains(np.array([0.0, 1.001]))
+
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("shape", [(1,), (3,), (16, 1), (16, 3), (5, 40)])
+def test_clamp_resolves_signed_zero_ties_alike_for_every_shape(zero, shape):
+    # a coordinate equal to a bound up to the sign of zero gets the same bits
+    # on its own and inside a block: the bound's
+    d = shape[-1]
+    lower, upper = np.full(d, -1.0), np.full(d, 1.0)
+    lower[0] = zero
+    x = np.full(shape, 0.5)
+    x[..., 0] = -zero
+    if d > 1:
+        upper[-1] = zero
+        x[..., -1] = -zero
+    space = SearchSpace(lower, upper)
+    block = space.apply_bounds(x).reshape(-1, d)
+    for row, clamped in zip(x.reshape(-1, d), block):
+        assert space.apply_bounds(row).tobytes() == clamped.tobytes()
+        assert np.signbit(clamped[0]) == np.signbit(zero)
+        assert np.signbit(clamped[-1]) == np.signbit(zero)
