@@ -8,14 +8,13 @@ from .coverage import (
     CoverageEvaluator,
     CoverageField,
     CoverageResult,
-    DeploymentScheme,
     Sensor,
     coverage,
     expected_initial_coverage,
     random_deployment,
     required_nodes,
 )
-from .enhance import EnhancementRun, VFAParams, enhance_aaso, enhance_pso, enhance_vfa
+from .enhance import EnhancementRun, enhance_aaso, enhance_pso, enhance_vfa
 from .harness import RunStatistics, compare
 from .optimizer import OptimizerConfig, RunResult, rowwise, run
 from .rng import RandomSource
@@ -26,7 +25,6 @@ __all__ = [
     "CoverageEvaluator",
     "CoverageField",
     "CoverageResult",
-    "DeploymentScheme",
     "EnhancementRun",
     "OptimizerConfig",
     "PSOParams",
@@ -35,7 +33,6 @@ __all__ = [
     "RunStatistics",
     "SearchSpace",
     "Sensor",
-    "VFAParams",
     "compare",
     "coverage",
     "enhance_aaso",

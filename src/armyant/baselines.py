@@ -7,23 +7,22 @@ import numpy as np
 
 from .optimizer import RunResult, _checked
 
+# acceleration coefficients (cognitive, social) and the inertia weight,
+# which decays linearly from W_MAX to W_MIN over the run
+C1, C2 = 2.0, 2.0
+W_MAX, W_MIN = 0.9, 0.4
+
 
 @dataclass
 class PSOParams:
-    """Inertia-weight PSO parameters; the weight decays linearly over the run."""
+    """Swarm size and iteration count of an inertia-weight PSO run."""
 
     swarm: int = 30
     iters: int = 100
-    c1: float = 2.0
-    c2: float = 2.0
-    w_max: float = 0.9
-    w_min: float = 0.4
 
     def __post_init__(self):
         if self.swarm < 1 or self.iters < 1:
             raise ValueError("swarm and iters must be positive")
-        if not 0.0 <= self.w_min <= self.w_max:
-            raise ValueError("need 0 <= w_min <= w_max")
 
 
 def pso_run(objective, space, params, rng, seed_positions=None):
@@ -58,15 +57,11 @@ def pso_run(objective, space, params, rng, seed_positions=None):
 
     for t in range(1, params.iters + 1):
         frac = (t - 1) / max(params.iters - 1, 1)
-        w = params.w_max - (params.w_max - params.w_min) * frac
+        w = W_MAX - (W_MAX - W_MIN) * frac
         r1 = rng.uniform((n, d))
         r2 = rng.uniform((n, d))
-        velocities = (
-            w * velocities
-            + params.c1 * r1 * (pbest - positions)
-            + params.c2 * r2 * (gbest - positions)
-        )
-        velocities = np.clip(velocities, -v_max, v_max)
+        velocities = w * velocities + C1 * r1 * (pbest - positions) + C2 * r2 * (gbest - positions)
+        velocities = np.minimum(np.maximum(velocities, -v_max), v_max)
         positions = space.apply_bounds(positions + velocities)
         fitness = obj(positions)
         evaluations += n

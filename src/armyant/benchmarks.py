@@ -1,4 +1,4 @@
-"""Classic benchmark objectives with analytically known optima.
+"""Classic benchmark objectives, each with optimum value 0 at a known position.
 
 Each function maps an ``(n, D)`` block of points to the ``(n,)`` vector of
 their values, one row per point, reducing over the last axis. On a
@@ -57,8 +57,7 @@ class BenchmarkFunction:
     name: str
     dim: int
     box: SearchSpace
-    known_optimum: float
-    optimum_position: np.ndarray | None
+    optimum_position: np.ndarray
     func: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x):
@@ -66,6 +65,8 @@ class BenchmarkFunction:
         # C order: the row reductions of a strided block can visit the
         # elements in another order and round differently
         x = np.ascontiguousarray(x, dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"{self.name} has dimension {self.dim}; got points of shape {x.shape}")
         values = self.func(x)
         return float(values) if x.ndim == 1 else values
 
@@ -92,7 +93,6 @@ def get_benchmark(name, dim):
         name=name,
         dim=dim,
         box=SearchSpace.cube(dim, -half_range, half_range),
-        known_optimum=0.0,
         optimum_position=np.full(dim, float(opt_coord)),
         func=func,
     )

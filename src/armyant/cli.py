@@ -20,7 +20,7 @@ from .coverage import (
     with_deviations,
     write_deployment,
 )
-from .enhance import VFAParams, enhance_aaso, enhance_pso, enhance_vfa
+from .enhance import enhance_aaso, enhance_pso, enhance_vfa
 from .harness import algorithm_params, compare, write_statistics_csv, write_trace_csv
 from .rng import RandomSource
 from .svgplot import render_deployment_svg
@@ -57,15 +57,14 @@ def _write_curve_csv(curve, path):
 
 
 def _enhance(algorithm, sensors, field, spec, seed):
-    rng = RandomSource(seed)
     if algorithm == "vfa":
-        return enhance_vfa(sensors, field, VFAParams(max_iters=spec.iterations), rng)
+        return enhance_vfa(sensors, field, spec.iterations)
     params = algorithm_params(
-        algorithm, spec.population, spec.iterations, seed,
+        algorithm, spec.population, spec.iterations,
         spec.recruit_init, spec.attack_coeff, spec.stagnation,
     )
     enhance = enhance_aaso if algorithm == "aaso" else enhance_pso
-    return enhance(sensors, field, params, rng)
+    return enhance(sensors, field, params, RandomSource(seed))
 
 
 def run_cover(spec):
@@ -97,7 +96,7 @@ def run_cover(spec):
             try:
                 run = _enhance(algorithm, sensors, field, spec, seed)
                 _write_curve_csv(run.curve, os.path.join(out, f"curve_{algorithm}_{seed}.csv"))
-                final_sensors = with_deviations(sensors, run.best_angles.angles)
+                final_sensors = with_deviations(sensors, run.best_angles)
                 render_deployment_svg(
                     final_sensors, field, os.path.join(out, f"layout_final_{algorithm}_{seed}.svg")
                 )
@@ -110,7 +109,7 @@ def run_cover(spec):
                         "seed": seed,
                         "initial_rate": run.initial_rate,
                         "final_rate": run.final_rate,
-                        "angles_deg": [math.degrees(a) for a in run.best_angles.angles],
+                        "angles_deg": [math.degrees(a) for a in run.best_angles],
                         "evaluations": run.evaluations,
                         "iterations": spec.iterations,
                     }

@@ -34,13 +34,11 @@ class ExperimentSpec:
     runs: int = 50
     base_seed: int = 1
 
-    def __post_init__(self):
-        if self.algorithms is None and self.kind in ALGORITHMS:
-            self.algorithms = ALGORITHMS[self.kind]
-
     def validate(self):
-        if self.kind not in ("cover", "bench", "analyze"):
-            raise ValueError(f"kind must be cover, bench or analyze, got {self.kind!r}")
+        if self.kind not in ALGORITHMS:
+            raise ValueError(f"kind must be {' or '.join(ALGORITHMS)}, got {self.kind!r}")
+        if self.algorithms is None:
+            self.algorithms = ALGORITHMS[self.kind]
         if self.area_length_m <= 0 or self.area_width_m <= 0:
             raise ValueError("monitoring area dimensions must be positive")
         if self.grid_interval_m <= 0:
@@ -63,16 +61,15 @@ class ExperimentSpec:
             raise ValueError("stagnation must be at least 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.kind in ALGORITHMS:
-            allowed = ALGORITHMS[self.kind]
-            if not self.algorithms:
-                raise ValueError("need at least one algorithm")
-            for a in self.algorithms:
-                if a not in allowed:
-                    raise ValueError(
-                        f"algorithm {a!r} not valid for kind {self.kind!r} "
-                        f"(allowed: {', '.join(allowed)})"
-                    )
+        allowed = ALGORITHMS[self.kind]
+        if not self.algorithms:
+            raise ValueError("need at least one algorithm")
+        for a in self.algorithms:
+            if a not in allowed:
+                raise ValueError(
+                    f"algorithm {a!r} not valid for kind {self.kind!r} "
+                    f"(allowed: {', '.join(allowed)})"
+                )
         if self.kind == "bench":
             for f_name in self.functions:
                 if f_name not in FUNCTION_NAMES:

@@ -109,19 +109,17 @@ class Sensor:
     deviation: float = 0.0
 
     def __post_init__(self):
-        self.x = float(self.x)
-        self.y = float(self.y)
-        self.radius = float(self.radius)
-        self.view_angle = float(self.view_angle)
+        # the evaluator would score a NaN deviation as sensed on most entries
+        for name in ("x", "y", "radius", "view_angle", "deviation"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"sensor {name} must be finite, got {value!r}")
+            setattr(self, name, value)
         if self.radius <= 0.0:
             raise ValueError("sensing radius must be positive")
         if not 0.0 < self.view_angle <= TWO_PI:
             raise ValueError("view angle must lie in (0, 2*pi]")
         self.deviation = float(canonicalize_angle(self.deviation))
-
-    @property
-    def position(self):
-        return np.array([self.x, self.y])
 
 
 @dataclass
@@ -153,19 +151,6 @@ def _axis_centers(extent, interval, n):
     starts = np.arange(n) * interval
     ends = np.minimum(starts + interval, extent)
     return (starts + ends) / 2.0
-
-
-@dataclass
-class DeploymentScheme:
-    """One deviation angle per sensor, canonicalized into [0, 2*pi)."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        self.angles = np.asarray(canonicalize_angle(np.asarray(self.angles, dtype=float)))
-
-    def __len__(self):
-        return self.angles.size
 
 
 @dataclass
@@ -454,7 +439,13 @@ class CoverageEvaluator:
                             self._ge[part], self._le[part]).copy()
 
     def covered_mask(self, angles):
-        """Fresh grid-sized mask of the grids covered at the given angles."""
+        """Fresh grid-sized mask of the grids covered at the given angles.
+
+        The angles must be finite. That is not checked here, as it would
+        add to every evaluation: the interval test scores a NaN angle as
+        sensed on every interval that does not wrap. ``Sensor`` rejects
+        non-finite deviations, and the optimizers search a finite box.
+        """
         # the intervals hold for theta in [0, 2*pi); canonicalizing also makes
         # theta = 2*pi and theta = 0 evaluate identically
         angles = np.asarray(canonicalize_angle(np.asarray(angles, dtype=float)))
@@ -615,5 +606,8 @@ def read_deployment(path):
             x, y, radius, view_deg, dev_deg = (float(v) for v in row)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric field") from None
-        sensors.append(Sensor(x, y, radius, math.radians(view_deg), math.radians(dev_deg)))
+        try:
+            sensors.append(Sensor(x, y, radius, math.radians(view_deg), math.radians(dev_deg)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return sensors

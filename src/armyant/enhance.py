@@ -21,10 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optimizer
-from .baselines import PSOParams, pso_run
-from .coverage import TWO_PI, CoverageEvaluator, DeploymentScheme
-from .rng import RandomSource
+from .baselines import pso_run
+from .coverage import TWO_PI, CoverageEvaluator, canonicalize_angle
 from .space import SearchSpace
+
+# virtual-force rotation (``enhance_vfa``); the attraction torque has weight one
+ROTATION_STEP = math.pi / 90.0
+REPULSION_WEIGHT = 0.5
+NEIGHBOR_RADIUS_FACTOR = 2.0
 
 
 @dataclass
@@ -33,27 +37,10 @@ class EnhancementRun:
 
     initial_rate: float
     final_rate: float
-    best_angles: DeploymentScheme
+    best_angles: np.ndarray  # one per sensor, in [0, 2*pi)
     curve: np.ndarray
     evaluations: int
     elapsed: float
-
-
-@dataclass
-class VFAParams:
-    """Virtual-force rotation: fixed-step descent driven by two torques."""
-
-    rotation_step: float = math.pi / 90.0
-    max_iters: int = 100
-    attraction_weight: float = 1.0
-    repulsion_weight: float = 0.5
-    neighbor_radius_factor: float = 2.0
-
-    def __post_init__(self):
-        if self.rotation_step <= 0.0:
-            raise ValueError("rotation_step must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
 
 
 def _rates_from_history(history, grid_count):
@@ -80,28 +67,20 @@ def _search_angles(sensors, field, search, params, rng):
     return EnhancementRun(
         initial_rate=initial_rate,
         final_rate=evaluator.rate(result.best_position),
-        best_angles=DeploymentScheme(result.best_position),
+        best_angles=canonicalize_angle(result.best_position),
         curve=_rates_from_history(result.history, field.grid_count),
         evaluations=result.evaluations,
         elapsed=time.perf_counter() - start,
     )
 
 
-def enhance_aaso(sensors, field, config=None, rng=None):
+def enhance_aaso(sensors, field, config, rng):
     """Army ant search over the clamped angle box [0, 2*pi]^D."""
-    if config is None:
-        config = optimizer.OptimizerConfig()
-    if rng is None:
-        rng = RandomSource(config.seed)
     return _search_angles(sensors, field, optimizer.run, config, rng)
 
 
-def enhance_pso(sensors, field, params=None, rng=None):
+def enhance_pso(sensors, field, params, rng):
     """Inertia-weight PSO baseline over the same clamped angle box."""
-    if params is None:
-        params = PSOParams(swarm=50, iters=100)
-    if rng is None:
-        rng = RandomSource(0)
     return _search_angles(sensors, field, pso_run, params, rng)
 
 
@@ -115,24 +94,24 @@ def _wrap_signed(angle):
     return out
 
 
-def enhance_vfa(sensors, field, params=None, rng=None):
-    """Virtual-force rotation baseline.
+def enhance_vfa(sensors, field, max_iters):
+    """Virtual-force rotation baseline, deterministic, over ``max_iters`` iterations.
 
     Each sensor feels an attraction torque toward the mean bearing of the
     currently uncovered grids within its sensing range and a repulsion
-    torque away from the mean sensing direction of neighbors within twice
-    the range, and rotates by a fixed step in the sign of the weighted sum.
+    torque, of weight ``REPULSION_WEIGHT``, away from the mean sensing
+    direction of neighbors within ``NEIGHBOR_RADIUS_FACTOR`` times the
+    range. It rotates by ``ROTATION_STEP`` in the sign of the weighted sum.
     Sensors update sequentially with incremental per-grid coverage counts,
     so only the rotated sensor's candidate grids are re-tested.
-    ``evaluations`` counts per-sensor sector recomputations. Deterministic;
-    ``rng`` is accepted for interface symmetry and never drawn from.
+    ``evaluations`` counts per-sensor sector recomputations.
     """
     start = time.perf_counter()
     sensors = list(sensors)
     if not sensors:
         raise ValueError("need at least one sensor")
-    if params is None:
-        params = VFAParams()
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
     evaluator = CoverageEvaluator(sensors, field)
     n = len(sensors)
     thetas = np.array([s.deviation for s in sensors])
@@ -141,7 +120,7 @@ def enhance_vfa(sensors, field, params=None, rng=None):
     positions = np.array([[s.x, s.y] for s in sensors])
     for i in range(n):
         d = np.hypot(positions[:, 0] - positions[i, 0], positions[:, 1] - positions[i, 1])
-        reach = params.neighbor_radius_factor * sensors[i].radius
+        reach = NEIGHBOR_RADIUS_FACTOR * sensors[i].radius
         neighbor_lists.append(np.flatnonzero((d <= reach) & (np.arange(n) != i)))
 
     counts = np.zeros(field.grid_count, dtype=np.int32)
@@ -160,7 +139,7 @@ def enhance_vfa(sensors, field, params=None, rng=None):
     best_angles = thetas.copy()
     curve = [best_rate]
 
-    for _ in range(params.max_iters):
+    for _ in range(max_iters):
         for i in range(n):
             idx, bearing, zero = evaluator.per_sensor[i]
             torque = 0.0
@@ -169,20 +148,18 @@ def enhance_vfa(sensors, field, params=None, rng=None):
                 vx = float(np.sum(np.cos(bearing[uncovered])))
                 vy = float(np.sum(np.sin(bearing[uncovered])))
                 if vx != 0.0 or vy != 0.0:
-                    torque += params.attraction_weight * _wrap_signed(
-                        math.atan2(vy, vx) - thetas[i]
-                    )
+                    torque += _wrap_signed(math.atan2(vy, vx) - thetas[i])
             nbrs = neighbor_lists[i]
             if nbrs.size:
                 mx = float(np.sum(np.cos(thetas[nbrs])))
                 my = float(np.sum(np.sin(thetas[nbrs])))
                 if mx != 0.0 or my != 0.0:
-                    torque -= params.repulsion_weight * _wrap_signed(
+                    torque -= REPULSION_WEIGHT * _wrap_signed(
                         math.atan2(my, mx) - thetas[i]
                     )
             if torque == 0.0:
                 continue
-            step = params.rotation_step if torque > 0.0 else -params.rotation_step
+            step = ROTATION_STEP if torque > 0.0 else -ROTATION_STEP
             thetas[i] = (thetas[i] + step) % TWO_PI
 
             old = sensed_cache[i]
@@ -203,7 +180,7 @@ def enhance_vfa(sensors, field, params=None, rng=None):
     return EnhancementRun(
         initial_rate=initial_rate,
         final_rate=evaluator.rate(best_angles),
-        best_angles=DeploymentScheme(best_angles),
+        best_angles=canonicalize_angle(best_angles),
         curve=np.array(curve),
         evaluations=evaluations,
         elapsed=time.perf_counter() - start,

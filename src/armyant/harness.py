@@ -28,9 +28,7 @@ class RunStatistics:
         return np.array([h[-1] for h in self.histories])
 
 
-def algorithm_params(
-    name, population, iterations, seed, recruit_init=None, attack_coeff=2.0, stagnation=5
-):
+def algorithm_params(name, population, iterations, recruit_init=None, attack_coeff=2.0, stagnation=5):
     """Parameters of one ``aaso`` or ``pso`` run, from the experiment values."""
     if name == "aaso":
         return optimizer.OptimizerConfig(
@@ -39,7 +37,6 @@ def algorithm_params(
             recruit_init=recruit_init,
             attack_coeff=attack_coeff,
             stagnation_threshold=stagnation,
-            seed=seed,
         )
     return baselines.PSOParams(swarm=population, iters=iterations)
 
@@ -49,7 +46,7 @@ def _run_algorithm(name, func, seed, population, iterations, aaso):
     if name == "random":
         budget = population * (iterations + 1)
         return baselines.random_search_run(func, func.box, budget, rng, record_every=population)
-    params = algorithm_params(name, population, iterations, seed, *aaso)
+    params = algorithm_params(name, population, iterations, *aaso)
     # looked up per call, never from a table built at import, so that a
     # patched module attribute (perfbench/tracer.py) sees every run
     search = optimizer.run if name == "aaso" else baselines.pso_run

@@ -39,8 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RandomSource
-
 ARCHIVE_SIZE = 4
 BRIDGE_EPS = 1e-12
 
@@ -54,7 +52,6 @@ class OptimizerConfig:
     recruit_init: float | None = None
     attack_coeff: float = 2.0
     stagnation_threshold: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.population < ARCHIVE_SIZE:
@@ -68,7 +65,7 @@ class OptimizerConfig:
             self.recruit_init = self.population / 2.0
         if not 0.0 < self.recruit_init <= self.population:
             raise ValueError("recruit_init must lie in (0, population]")
-        if self.attack_coeff <= 0.0:
+        if not self.attack_coeff > 0.0:
             raise ValueError("attack_coeff must be positive")
         if self.stagnation_threshold < 1:
             raise ValueError("stagnation_threshold must be at least 1")
@@ -297,7 +294,7 @@ def initialize(config, space, objective, rng, seed_positions=None):
     return positions, objective(positions)
 
 
-def run(objective, space, config, rng=None, observer=None, seed_positions=None):
+def run(objective, space, config, rng, observer=None, seed_positions=None):
     """Minimize ``objective`` over ``space``; returns the best solution found.
 
     ``objective`` maps an (n, D) block to its (n,) values (see ``rowwise``).
@@ -308,8 +305,6 @@ def run(objective, space, config, rng=None, observer=None, seed_positions=None):
     reports the exact total. ``observer``, when given, is called once per
     iteration with an ``IterationState``.
     """
-    if rng is None:
-        rng = RandomSource(config.seed)
     obj = _checked(objective)
     evaluations = 0
 

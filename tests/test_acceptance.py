@@ -86,13 +86,14 @@ def test_c4_headline_experiment():
     for seed in seeds:
         sensors = aa.random_deployment(field, HEADLINE["nodes"], HEADLINE["radius"],
                                        HEADLINE["alpha"], RandomSource(seed))
-        cfg = OptimizerConfig(population=50, max_iters=100, seed=seed)
+        cfg = OptimizerConfig(population=50, max_iters=100)
         res = aa.enhance_aaso(sensors, field, cfg, RandomSource(seed))
         aaso_final.append(res.final_rate)
         aaso_20.append(res.curve[20])
         initial.append(res.initial_rate)
-        vfa_final.append(aa.enhance_vfa(sensors, field, rng=RandomSource(seed)).final_rate)
-        pso_final.append(aa.enhance_pso(sensors, field, rng=RandomSource(seed)).final_rate)
+        vfa_final.append(aa.enhance_vfa(sensors, field, max_iters=100).final_rate)
+        pso = aa.enhance_pso(sensors, field, aa.PSOParams(swarm=50, iters=100), RandomSource(seed))
+        pso_final.append(pso.final_rate)
 
     mean_final = float(np.mean(aaso_final))
     mean_20 = float(np.mean(aaso_20))
@@ -115,7 +116,7 @@ def test_c5_small_radius_spot_check():
     finals = []
     for seed in range(1, 11):
         sensors = aa.random_deployment(field, 100, 40.0, PI / 2, RandomSource(seed))
-        cfg = OptimizerConfig(population=50, max_iters=100, seed=seed)
+        cfg = OptimizerConfig(population=50, max_iters=100)
         finals.append(aa.enhance_aaso(sensors, field, cfg, RandomSource(seed)).final_rate)
     mean = float(np.mean(finals))
     assert 0.44 <= mean <= 0.52
@@ -131,12 +132,12 @@ def test_c6_brute_force_oracle_equivalence():
             evaluator.covered_count(np.array([math.radians(a)]))
             for a in np.arange(0.0, 360.0, 0.5)
         )
-        cfg = OptimizerConfig(population=20, max_iters=60, seed=seed)
+        cfg = OptimizerConfig(population=20, max_iters=60)
         aaso = aa.enhance_aaso(sensors, field, cfg, RandomSource(seed))
         aaso_count = round(aaso.final_rate * field.grid_count)
         assert abs(aaso_count - sweep_best) <= 1
 
-        pso = aa.enhance_pso(sensors, field, rng=RandomSource(seed))
+        pso = aa.enhance_pso(sensors, field, aa.PSOParams(swarm=50, iters=100), RandomSource(seed))
         pso_count = round(pso.final_rate * field.grid_count)
         assert abs(pso_count - sweep_best) <= 1
     report(6, "single-sensor optimum matches the 0.5 degree exhaustive sweep within 1 grid")
@@ -194,7 +195,7 @@ def test_c8_optimizer_operator_suite():
     # monotone best-so-far histories and bit-identical seeded trajectories
     space = SearchSpace.cube(5, -3.0, 3.0)
     sphere = aa.rowwise(lambda x: float(np.sum(x * x)))
-    cfg = OptimizerConfig(population=12, max_iters=40, seed=99)
+    cfg = OptimizerConfig(population=12, max_iters=40)
     first = run(sphere, space, cfg, RandomSource(99))
     second = run(sphere, space, cfg, RandomSource(99))
     assert np.all(np.diff(first.history) <= 0)

@@ -23,15 +23,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         PSOParams(swarm=0)
     with pytest.raises(ValueError):
-        PSOParams(w_max=0.2, w_min=0.5)
-
-
-def test_frozen_swarm_with_degenerate_params():
-    # zero inertia and zero acceleration never move the zero-velocity swarm
-    params = PSOParams(swarm=10, iters=20, c1=0.0, c2=0.0, w_max=0.0, w_min=0.0)
-    result = pso_run(SPHERE, SPACE2, params, RandomSource(3))
-    assert np.all(result.history == result.history[0])
-    assert result.evaluations == 10 * 21
+        PSOParams(iters=0)
 
 
 def test_history_monotone_and_deterministic():
@@ -41,6 +33,7 @@ def test_history_monotone_and_deterministic():
     assert np.array_equal(a.history, b.history)
     assert np.all(np.diff(a.history) <= 0)
     assert len(a.history) == 51
+    assert a.evaluations == 15 * 51  # the swarm, at initialization and per iteration
 
 
 def test_positions_respect_bounds():
@@ -58,7 +51,7 @@ def test_positions_respect_bounds():
 
 def test_seed_positions_injected():
     seed_pos = np.array([1.0, -1.0])
-    params = PSOParams(swarm=6, iters=1, c1=0.0, c2=0.0, w_max=0.0, w_min=0.0)
+    params = PSOParams(swarm=6, iters=1)
     result = pso_run(SPHERE, SPACE2, params, RandomSource(0), seed_positions=[seed_pos])
     assert result.best_fitness <= sphere(seed_pos)
 

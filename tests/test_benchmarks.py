@@ -42,7 +42,7 @@ def test_catalog_names():
 @pytest.mark.parametrize("dim", [2, 10, 30])
 def test_optimum_position_scores_known_optimum(name, dim):
     f = get_benchmark(name, dim)
-    assert abs(f(f.optimum_position) - f.known_optimum) <= 1e-9
+    assert abs(f(f.optimum_position)) <= 1e-9
     assert f.box.contains(f.optimum_position)
 
 
@@ -62,7 +62,7 @@ def test_values_grow_away_from_optimum():
         f = get_benchmark(name, 4)
         near = f(f.optimum_position + 0.01)
         far = f(f.optimum_position + 1.0)
-        assert f.known_optimum <= near < far
+        assert 0.0 <= near < far
 
 
 def test_spot_values():
@@ -79,6 +79,13 @@ def test_one_point_gives_a_float_and_a_block_an_array():
     assert type(f([1.0, 2.0, 3.0])) is float
     values = f([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])
     assert isinstance(values, np.ndarray) and values.tolist() == [14.0, 1.0]
+
+
+def test_points_of_another_dimension_rejected():
+    f = get_benchmark("rastrigin", 3)
+    for x in (np.ones(5), np.ones((2, 5)), np.ones(2), 1.0):
+        with pytest.raises(ValueError, match="dimension 3"):
+            f(x)
 
 
 @settings(max_examples=60)
@@ -106,7 +113,7 @@ def test_block_and_rowwise_searches_agree(name):
     # the block path and one call per point give bit-identical runs
     f = get_benchmark(name, 30)
     searches = [
-        lambda obj: run(obj, f.box, OptimizerConfig(population=10, max_iters=15, seed=3)),
+        lambda obj: run(obj, f.box, OptimizerConfig(population=10, max_iters=15), RandomSource(3)),
         lambda obj: pso_run(obj, f.box, PSOParams(swarm=10, iters=15), RandomSource(3)),
         lambda obj: random_search_run(obj, f.box, 160, RandomSource(3), record_every=10),
     ]

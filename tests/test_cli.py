@@ -42,6 +42,86 @@ dimension = 3
 """
 
 
+GOLDEN_BENCH = """
+kind = bench
+algorithms = aaso,pso,random
+functions = sphere,rosenbrock,rastrigin,ackley,griewank,schwefel
+runs = 2
+base_seed = 3
+population = 6
+iterations = 8
+dimension = 3
+"""
+
+# sha256 of every file that TINY_COVER and GOLDEN_BENCH write: any change
+# to a draw order, a result or an output format shows here
+ARTIFACT_GOLDEN = {
+    "cover": {
+        "curve_aaso_1.csv": "f9d8f02c5e1c5cbae57ab3c3e728cdca5fc4cd5d801b3bee1cbbb39f459e8a05",
+        "curve_aaso_2.csv": "b1dcf5db9cb19cdbe53bd81166617fab3a774c018681183857c01fb1f2d25d99",
+        "curve_pso_1.csv": "d039a4335fb93dd7f81ecd53747d87ebeb9cb4b3ebde95630e312394a2a49b6a",
+        "curve_pso_2.csv": "fa4cc27bb75315626847050ef26427eecd4e7082e02921e3a1abf8bd7d41b8a8",
+        "curve_vfa_1.csv": "29475e2ad3191ed856e6fc3965e4c360fd10e18062fb1d8eee27593f274ce4f8",
+        "curve_vfa_2.csv": "b252ea3f3fe71b70733fe144e6739fb4e1d808455703859a018d24b1db3d16e6",
+        "deployment_final_aaso_1.csv": "79452f59f8f07b737778b1a28850240086167633b85f7bc336e692c25ab1c8a6",
+        "deployment_final_aaso_2.csv": "ac70a7fc18c6bba60d41921c6477a0bdbe81eae89fd8888fd17e76603ea2a5a7",
+        "deployment_final_pso_1.csv": "42573134c6e40bafde96e835e61078c40e2cd51886dd4c4249f79525238f4c30",
+        "deployment_final_pso_2.csv": "2848757b21a1441197de8ec1b48e289caf7be7efc056d9bbe9245a34fe34d061",
+        "deployment_final_vfa_1.csv": "2314dd93d976a85f078d74e7086bf29d4323b3af4e6154d9b2128839b1c0d944",
+        "deployment_final_vfa_2.csv": "920adc06c0427378b7d955f77db35fe04241a15ed348756164d689240245690b",
+        "layout_final_aaso_1.svg": "00f32abe8ed80c6dc2bc9349a9be99d53a9c18c4ce88ba349f6cb11ea7c4f257",
+        "layout_final_aaso_2.svg": "8112123fe57563586c20729c1c72845d73bfb60b177cacc3c251be1b98eabac6",
+        "layout_final_pso_1.svg": "6d1ec48ad543279de2b3ca5c356f12676e1199a3d22160eda65c3cd5b3dfda5f",
+        "layout_final_pso_2.svg": "59a1d307a4ae4fdbceac17b1a4be540561bc7db55667051ce5dae6a89d722db9",
+        "layout_final_vfa_1.svg": "5417830f488edddd25a71bc6ad729af3827b1742dcfde5615d1b15e4f7881bb5",
+        "layout_final_vfa_2.svg": "faf71750640ccc790c418ea521d55a4c5b65edfaefa922032e0e63d579b03eb7",
+        "layout_initial_1.svg": "50c94fdc8730f3d10f0538a5e9a8879dedf1a28de8bb8c16062b14a5aba80845",
+        "layout_initial_2.svg": "048d710194682d1bc7b5be56bbc238f885bab7d7bf9cde79583a4ce0d066e81f",
+        "results.json": "eda7c5da5797e8fcb1487b28864ef75f276169e7a0e14a3e3d7bbba5e9f3a72d",
+        "summary.csv": "e6706f9baf798694070c25a4f5ba66f64dc103bb86085242d681e0cc2a6af623",
+    },
+    "bench": {
+        "statistics.csv": "bd7ae9a69b192bbf818ebe31602aa2e3af1c2108b7e03060dbc6b896abd08928",
+        "trace_aaso_ackley_3.csv": "09c91bbbc008ddc0bb0e958b234c13c3435da2ea77a07a897222668d17ac1caa",
+        "trace_aaso_ackley_4.csv": "166201f8ff848f013b2b535c2bd6dbb65b86a6c9c0888dbc311f7831688453a7",
+        "trace_aaso_griewank_3.csv": "034625b61a983ed9a4a53aac5c1d7fb6dca4b265b39d70e52b98382e36645deb",
+        "trace_aaso_griewank_4.csv": "bd505d2dc1235f25cf47bbedcbcb17bd58dfc8a7049cab18d692ddb76b44720e",
+        "trace_aaso_rastrigin_3.csv": "f8ada1821bae557e01b35d232b42ea4eef0b0222e7a3e26e74b5215e839b93c4",
+        "trace_aaso_rastrigin_4.csv": "9016721a06e71664a62409a5b54a13547b7708b2b199a849ff832675a187f11c",
+        "trace_aaso_rosenbrock_3.csv": "092644787b3f459374f8e3ed79b5f0b5db0579643448fbf4f5e91a1b47ab47ba",
+        "trace_aaso_rosenbrock_4.csv": "bcad1790d70363584c9e61389d7bdb6ece23a1d8c983ed841b6bfc505bec962b",
+        "trace_aaso_schwefel_3.csv": "6b06d64abbeda9c7c84f1ec7c2e31eb2f0cc7a7da13548bb2c2b4b78af89441b",
+        "trace_aaso_schwefel_4.csv": "48986ac6ed7f543fdec7c7e9007edb94dd252ece49adf387ec2a7d86d87bbb93",
+        "trace_aaso_sphere_3.csv": "7dd92ff970ca26b5da875a4f9d5e9b02a2278d90c39f5d03283390f4b43058ed",
+        "trace_aaso_sphere_4.csv": "45d8eeca0c3b78c11a2ff5a8e54020a34641af0938e65229cbc2efff6526cc28",
+        "trace_pso_ackley_3.csv": "daa86b04f5d70612fd948c7a5604736dee9ad0f4f11e19ea1b5edebfcd18dd40",
+        "trace_pso_ackley_4.csv": "8e09ffa55bfc20ba3ca9030298275e420e567bbe18f144bcf77c649f189c9dad",
+        "trace_pso_griewank_3.csv": "2baed0156ae8b9c6b768b00e6ad9fc8b1c22c06b92a0d604f1167bc00e3b6103",
+        "trace_pso_griewank_4.csv": "3a3e614c482cc49cd2bee935caa0251dbf221cbee4c39ed9b2ebfbb54a2c1f80",
+        "trace_pso_rastrigin_3.csv": "3c22f9c58e9acafe3e4309817f7fae20b4c98487d225d18cb0de963fb21138e4",
+        "trace_pso_rastrigin_4.csv": "0066cb037eef23b70fbb08a07e2674eaad72c0890b6fb47d61ff68ebc701beba",
+        "trace_pso_rosenbrock_3.csv": "11fd7e451abfd5a897da6214f10b0eb12093054ba296e137303ab10df6cb9bca",
+        "trace_pso_rosenbrock_4.csv": "a100e922aae2027f97b8984c2823856851d19085063268fd9aad27a41ec37f16",
+        "trace_pso_schwefel_3.csv": "4adccabb87b0c4d01ef3afe2ee94b62971505c4bafcdcf5d6f5594cdb70d070e",
+        "trace_pso_schwefel_4.csv": "7568533441868acd6c889b9956a011faa912ca62aa4095b071beb5d8f971ea0a",
+        "trace_pso_sphere_3.csv": "942f58d4854b45b19980c5d8b9d19a524824f6adcaa59bfe832a537dd2ede02a",
+        "trace_pso_sphere_4.csv": "f8d0649585256aff74b36121aaeca4e6b40b99d4724d2b11b82ff04ba31232c4",
+        "trace_random_ackley_3.csv": "b8061edffc37e02e1a55133e332cca6ea9edd83bae872432e801f6624911f71c",
+        "trace_random_ackley_4.csv": "93f5b392427d167401904412158844e54de0ee0346131859504013b24259397a",
+        "trace_random_griewank_3.csv": "bba7a834a39a052839d59e312e68f71160d59e675da5192c84904cd6a9dde738",
+        "trace_random_griewank_4.csv": "b5f623d00edab3a87433ebf28749c9cbf7d6f9f821dfa252a617dbbb6234946d",
+        "trace_random_rastrigin_3.csv": "c73a07f7433de4f78e0f70789c87df405942f0f15385aaaa366e3acb3c195910",
+        "trace_random_rastrigin_4.csv": "23f3e779db196362176dc87ad1a3f9c8dc11a689f5ce55c0cf7ec1d50bc58f40",
+        "trace_random_rosenbrock_3.csv": "61bc15ffa6c5429cc3c1a239c9665af4833ead84247b19871093b9cd51f9ae5b",
+        "trace_random_rosenbrock_4.csv": "31b2500881096c359f713d9a16a7aa76b173bb3bd5b462ce00e35fe9e775545d",
+        "trace_random_schwefel_3.csv": "1cb23c54765874777589d69400997bc76f10a3033160d2ed9d97e4637f3a635a",
+        "trace_random_schwefel_4.csv": "c68756bbce5baf780f58c3e645d4fb02d1317818d059e00c24fa580d6f329807",
+        "trace_random_sphere_3.csv": "8395eceaef812892ec7dd69f217c2bcc493b1892b48b013e26e8f2227cd94905",
+        "trace_random_sphere_4.csv": "176a0958c1159efa9d187d7969da7778c7d52c884d019a56362fb1c95d8a44f8",
+    },
+}
+
+
 def write_config(tmp_path, text):
     path = tmp_path / "exp.conf"
     path.write_text(text)
@@ -214,6 +294,17 @@ def test_cover_partial_failure_lists_seeds_and_returns_nonzero(tmp_path, capsys)
     assert not list(out.glob("curve_*.csv"))
 
 
+def test_cover_non_finite_deployment_fails_its_seeds(tmp_path, capsys):
+    deploy = tmp_path / "nan.csv"
+    deploy.write_text("x_m,y_m,radius_m,view_angle_deg,deviation_deg\n50,50,30,90,nan\n")
+    config = write_config(tmp_path, TINY_COVER + f"deployment_path = {deploy}\n")
+    out = tmp_path / "out"
+    assert main(["cover", "run", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"FAILED seed 1 (deploy): {deploy}:2: sensor deviation must be finite" in err
+    assert json.loads((out / "results.json").read_text(), parse_constant=float) == []
+
+
 def test_cover_programming_error_propagates(tmp_path, monkeypatch):
     def broken_enhancer(*args, **kwargs):
         raise TypeError("enhancer called wrongly")
@@ -317,6 +408,14 @@ def test_bench_run_honours_aaso_keys(tmp_path):
         history = run(func, func.box, config, RandomSource(seed)).history
         rows = list(csv.reader(open(tuned / f"trace_aaso_sphere_{seed}.csv")))[1:]
         assert [float(r[1]) for r in rows] == history.tolist()
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_GOLDEN))
+def test_run_artifacts_golden(command, tmp_path):
+    config = write_config(tmp_path, TINY_COVER if command == "cover" else GOLDEN_BENCH)
+    out = tmp_path / "out"
+    assert main([command, "run", "--config", config, "--out", str(out)]) == 0
+    assert tree_digest(out) == ARTIFACT_GOLDEN[command]
 
 
 # --- misc -------------------------------------------------------------------------

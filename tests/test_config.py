@@ -120,6 +120,13 @@ def test_aaso_values_rejected_at_parse_with_path(tmp_path, line, message):
             parse_config(path)
 
 
+def test_analyze_kind_rejected_at_parse_with_path(tmp_path):
+    # only cover and bench read a config; armyant analyze takes flags
+    path = write(tmp_path, "kind = analyze\n")
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ": kind must be cover or bench"):
+        parse_config(path)
+
+
 def test_recruit_init_may_equal_population(tmp_path):
     spec = parse_config(write(tmp_path, "kind = cover\npopulation = 20\nrecruit_init = 20\n"))
     assert spec.recruit_init == 20.0

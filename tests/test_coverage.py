@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from armyant.coverage import (
     TWO_PI,
     CoverageEvaluator,
     CoverageField,
-    DeploymentScheme,
     Sensor,
     candidate_grids,
     canonicalize_angle,
@@ -48,6 +48,17 @@ def test_sensor_validation_and_canonicalization():
     assert Sensor(0, 0, 1.0, PI, deviation=2 * PI).deviation == 0.0
 
 
+@pytest.mark.parametrize("name", ["x", "y", "radius", "deviation"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sensor_rejects_non_finite_values(name, value):
+    # a NaN deviation would pass every non-wrapping interval test of the
+    # evaluator and score as sensed
+    values = dict(x=1.0, y=2.0, radius=3.0, view_angle=PI / 2, deviation=0.5)
+    values[name] = value
+    with pytest.raises(ValueError, match=f"sensor {name} must be finite"):
+        Sensor(**values)
+
+
 def test_field_grid_layout():
     field = CoverageField(500, 500, 5)
     assert field.nx == field.ny == 100
@@ -74,9 +85,11 @@ def test_field_validation():
 
 
 def test_deployment_scheme_canonicalizes():
-    scheme = DeploymentScheme(np.array([-0.5, 7.0, 2 * PI]))
-    assert np.all(scheme.angles >= 0.0) and np.all(scheme.angles < 2 * PI)
-    assert len(scheme) == 3
+    # a deployment scheme is an array of deviations; enhancers report theirs
+    # through canonicalize_angle
+    angles = canonicalize_angle(np.array([-0.5, 7.0, 2 * PI]))
+    assert np.all(angles >= 0.0) and np.all(angles < 2 * PI)
+    assert angles.shape == (3,)
 
 
 # --- sensing predicate -----------------------------------------------------------
@@ -344,6 +357,9 @@ def test_deployment_io_errors(tmp_path):
         read_deployment(bad)
     bad.write_text("x_m,y_m,radius_m,view_angle_deg,deviation_deg\n1,2,3,four,5\n")
     with pytest.raises(ValueError, match="non-numeric"):
+        read_deployment(bad)
+    bad.write_text("x_m,y_m,radius_m,view_angle_deg,deviation_deg\n1,2,3,90,5\n1,2,3,90,nan\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:3: sensor deviation must be finite")):
         read_deployment(bad)
 
 

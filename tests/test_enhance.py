@@ -6,7 +6,7 @@ import pytest
 
 import armyant as aa
 from armyant.coverage import CoverageEvaluator, with_deviations
-from armyant.enhance import VFAParams, enhance_aaso, enhance_pso, enhance_vfa
+from armyant.enhance import enhance_aaso, enhance_pso, enhance_vfa
 from armyant.rng import RandomSource
 
 PI = math.pi
@@ -31,11 +31,11 @@ def test_single_sensor_matches_brute_force_sweep(seed):
     field = aa.CoverageField(100, 100, 5)
     sensors = aa.random_deployment(field, 1, 30.0, PI / 2, RandomSource(seed))
     best = brute_force_best_count(sensors[0], field)
-    cfg = aa.OptimizerConfig(population=20, max_iters=60, seed=seed)
+    cfg = aa.OptimizerConfig(population=20, max_iters=60)
     run = enhance_aaso(sensors, field, cfg, RandomSource(seed))
     assert abs(round(run.final_rate * field.grid_count) - best) <= 1
 
-    pso = enhance_pso(sensors, field, rng=RandomSource(seed))
+    pso = enhance_pso(sensors, field, aa.PSOParams(swarm=50, iters=100), RandomSource(seed))
     assert abs(round(pso.final_rate * field.grid_count) - best) <= 1
 
 
@@ -45,18 +45,17 @@ def test_two_colocated_sensors_reach_disjoint_cones():
     base = aa.Sensor(100, 100, 60, PI / 2, 0.3)
     single_best = brute_force_best_count(base, field)
     pair = [base, aa.Sensor(100, 100, 60, PI / 2, 0.3)]
-    cfg = aa.OptimizerConfig(population=20, max_iters=60, seed=2)
+    cfg = aa.OptimizerConfig(population=20, max_iters=60)
     run = enhance_aaso(pair, field, cfg, RandomSource(2))
     assert round(run.final_rate * field.grid_count) >= 1.5 * single_best - 3
 
 
 @pytest.mark.parametrize("name,runner", [
     ("aaso", lambda s, f, seed: enhance_aaso(
-        s, f, aa.OptimizerConfig(population=10, max_iters=15, seed=seed), RandomSource(seed))),
+        s, f, aa.OptimizerConfig(population=10, max_iters=15), RandomSource(seed))),
     ("pso", lambda s, f, seed: enhance_pso(
         s, f, aa.PSOParams(swarm=10, iters=15), RandomSource(seed))),
-    ("vfa", lambda s, f, seed: enhance_vfa(
-        s, f, VFAParams(max_iters=15), RandomSource(seed))),
+    ("vfa", lambda s, f, seed: enhance_vfa(s, f, 15)),
 ])
 def test_enhancement_run_contract(name, runner):
     field, sensors = headline_instance(seed=5)
@@ -68,7 +67,8 @@ def test_enhancement_run_contract(name, runner):
     assert run.final_rate == run.curve[-1]
     assert run.final_rate >= run.initial_rate
     # round trip: recompute coverage of the returned angles from scratch
-    final = aa.coverage(with_deviations(sensors, run.best_angles.angles), field)
+    assert np.all((run.best_angles >= 0.0) & (run.best_angles < 2 * PI))
+    final = aa.coverage(with_deviations(sensors, run.best_angles), field)
     assert final.rate == run.final_rate
     # node positions never change and inputs are not mutated
     assert [(s.x, s.y, s.deviation) for s in sensors] == before
@@ -77,23 +77,23 @@ def test_enhancement_run_contract(name, runner):
 
 @pytest.mark.parametrize("runner", [
     lambda s, f, seed: enhance_aaso(
-        s, f, aa.OptimizerConfig(population=8, max_iters=12, seed=seed), RandomSource(seed)),
+        s, f, aa.OptimizerConfig(population=8, max_iters=12), RandomSource(seed)),
     lambda s, f, seed: enhance_pso(
         s, f, aa.PSOParams(swarm=8, iters=12), RandomSource(seed)),
-    lambda s, f, seed: enhance_vfa(s, f, VFAParams(max_iters=12), RandomSource(seed)),
+    lambda s, f, seed: enhance_vfa(s, f, 12),
 ])
 def test_enhancers_deterministic(runner):
     field, sensors = headline_instance(seed=9)
     a = runner(sensors, field, 9)
     b = runner(sensors, field, 9)
     assert np.array_equal(a.curve, b.curve)
-    assert np.array_equal(a.best_angles.angles, b.best_angles.angles)
+    assert np.array_equal(a.best_angles, b.best_angles)
     assert a.evaluations == b.evaluations
 
 
 def test_aaso_evaluation_budget():
     field, sensors = headline_instance(seed=3)
-    cfg = aa.OptimizerConfig(population=10, max_iters=20, seed=3)
+    cfg = aa.OptimizerConfig(population=10, max_iters=20)
     run = enhance_aaso(sensors, field, cfg, RandomSource(3))
     base = 10 + 10 * 20
     assert run.evaluations >= base
@@ -108,9 +108,9 @@ def test_pso_evaluation_budget():
 
 def test_curve_matches_iteration_count():
     field, sensors = headline_instance(seed=2)
-    cfg = aa.OptimizerConfig(population=8, max_iters=25, seed=2)
+    cfg = aa.OptimizerConfig(population=8, max_iters=25)
     assert len(enhance_aaso(sensors, field, cfg, RandomSource(2)).curve) == 26
-    assert len(enhance_vfa(sensors, field, VFAParams(max_iters=25)).curve) == 26
+    assert len(enhance_vfa(sensors, field, 25).curve) == 26
 
 
 def test_vfa_rotates_toward_uncovered_mass():
@@ -118,24 +118,24 @@ def test_vfa_rotates_toward_uncovered_mass():
     # its left, so it turns counterclockwise by exactly one step per iteration
     field = aa.CoverageField(200, 200, 5)
     sensor = aa.Sensor(180, 100, 50, PI / 2, 0.0)
-    run = enhance_vfa([sensor], field, VFAParams(max_iters=30))
-    assert run.best_angles.angles[0] == pytest.approx(30 * PI / 90, abs=1e-9)
+    run = enhance_vfa([sensor], field, 30)
+    assert run.best_angles[0] == pytest.approx(30 * PI / 90, abs=1e-9)
     assert run.final_rate > run.initial_rate
 
 
 def test_vfa_zero_attraction_when_fully_covered():
     field = aa.CoverageField(20, 20, 5)
     omni = aa.Sensor(10, 10, 30, 2 * PI, 1.0)
-    run = enhance_vfa([omni], field, VFAParams(max_iters=5))
+    run = enhance_vfa([omni], field, 5)
     assert run.initial_rate == 1.0
     assert run.final_rate == 1.0
-    assert run.best_angles.angles[0] == pytest.approx(1.0)
+    assert run.best_angles[0] == pytest.approx(1.0)
 
 
 def test_incumbent_seeding_never_starts_worse():
     # with zero iterations of improvement possible the incumbent still caps the floor
     field, sensors = headline_instance(seed=7)
-    cfg = aa.OptimizerConfig(population=8, max_iters=1, seed=7)
+    cfg = aa.OptimizerConfig(population=8, max_iters=1)
     run = enhance_aaso(sensors, field, cfg, RandomSource(7))
     assert run.curve[0] >= run.initial_rate
 
@@ -143,11 +143,11 @@ def test_incumbent_seeding_never_starts_worse():
 def test_empty_sensor_list_rejected():
     field = aa.CoverageField(50, 50, 5)
     with pytest.raises(ValueError):
-        enhance_aaso([], field)
+        enhance_aaso([], field, aa.OptimizerConfig(), RandomSource(0))
     with pytest.raises(ValueError):
-        enhance_vfa([], field)
+        enhance_vfa([], field, 100)
     with pytest.raises(ValueError):
-        enhance_pso([], field)
+        enhance_pso([], field, aa.PSOParams(), RandomSource(0))
 
 
 # name -> (sha256 of curve bytes, sha256 of best-angle bytes, evaluations), recorded
@@ -167,15 +167,15 @@ def test_enhance_golden(name):
     field = aa.CoverageField(200, 200, 10)  # 20 x 20 grids
     sensors = aa.random_deployment(field, 20, 40.0, PI / 2, RandomSource(13))
     if name == "aaso":
-        cfg = aa.OptimizerConfig(population=20, max_iters=20, seed=13)
+        cfg = aa.OptimizerConfig(population=20, max_iters=20)
         run = enhance_aaso(sensors, field, cfg, RandomSource(13))
     elif name == "pso":
         run = enhance_pso(sensors, field, aa.PSOParams(swarm=20, iters=20), RandomSource(13))
     else:
-        run = enhance_vfa(sensors, field, VFAParams(max_iters=20), RandomSource(13))
+        run = enhance_vfa(sensors, field, 20)
     got = (
         hashlib.sha256(run.curve.tobytes()).hexdigest(),
-        hashlib.sha256(run.best_angles.angles.tobytes()).hexdigest(),
+        hashlib.sha256(run.best_angles.tobytes()).hexdigest(),
         run.evaluations,
     )
     assert got == ENHANCE_GOLDEN[name]

@@ -50,6 +50,8 @@ def test_config_defaults_and_validation():
         OptimizerConfig(population=10, max_iters=5, recruit_init=11.0)
     with pytest.raises(ValueError):
         OptimizerConfig(population=10, max_iters=5, attack_coeff=0.0)
+    with pytest.raises(ValueError, match="attack_coeff"):
+        OptimizerConfig(population=10, max_iters=5, attack_coeff=math.nan)
     with pytest.raises(ValueError):
         OptimizerConfig(population=10, max_iters=5, stagnation_threshold=0)
 
@@ -410,16 +412,16 @@ def test_non_finite_error_names_first_bad_row():
         return values
 
     space = SearchSpace.cube(2, 0.0, 1.0)
-    cfg = OptimizerConfig(population=6, max_iters=3, seed=0)
+    cfg = OptimizerConfig(population=6, max_iters=3)
     with pytest.raises(ValueError, match="non-finite value inf at row 2: ") as info:
         run(objective, space, cfg, RandomSource(0))
     assert repr(space.sample_uniform(RandomSource(0), 6)[2]) in str(info.value)
 
 
 def test_run_rejects_wrong_value_count():
-    cfg = OptimizerConfig(population=6, max_iters=3, seed=0)
+    cfg = OptimizerConfig(population=6, max_iters=3)
     with pytest.raises(ValueError, match="shape"):
-        run(lambda x: np.sum(x), SearchSpace.cube(2, 0.0, 1.0), cfg)
+        run(lambda x: np.sum(x), SearchSpace.cube(2, 0.0, 1.0), cfg, RandomSource(0))
 
 
 def test_run_evaluates_one_contiguous_block_per_step():
@@ -433,8 +435,8 @@ def test_run_evaluates_one_contiguous_block_per_step():
         return np.sum(x * x, axis=1)
 
     bridges = []
-    cfg = OptimizerConfig(population=9, max_iters=30, stagnation_threshold=1, seed=5)
-    result = run(objective, SearchSpace.cube(4, -5.12, 5.12), cfg,
+    cfg = OptimizerConfig(population=9, max_iters=30, stagnation_threshold=1)
+    result = run(objective, SearchSpace.cube(4, -5.12, 5.12), cfg, RandomSource(5),
                  observer=lambda state: bridges.append(state.bridge_position is not None))
     assert shapes.count((9, 4)) == 31
     assert shapes.count((5, 4)) == sum(bridges) > 0
@@ -452,24 +454,24 @@ def floor_l1(x):
     return float(math.floor(np.sum(np.abs(x))))
 
 
-# name -> (objective, space, config keywords, seed positions, sha256, evaluations);
+# name -> (objective, space, config keywords, seed, seed positions, sha256, evaluations);
 # the digests were recorded from the per-ant sweep the array sweep replaced
 GOLDEN_RUNS = {
     "followers": (sphere, SearchSpace.cube(3, -5.0, 5.0),
-                  dict(population=10, max_iters=40, seed=3), None,
+                  dict(population=10, max_iters=40), 3, None,
                   "6817dbbe66e45f2977c81558820956a036730f20a8378b7cbb88b32a6127a015", 430),
     "bridge_every_iteration": (rastrigin, SearchSpace.cube(4, -5.12, 5.12),
-                               dict(population=9, max_iters=30, stagnation_threshold=1, seed=5), None,
+                               dict(population=9, max_iters=30, stagnation_threshold=1), 5, None,
                                "17f4ced37f65b58a5eeaf3d11cdd78bec88f7909e8c59f0f6196bba4db169f10", 409),
     "seed_positions": (sphere, SearchSpace(np.arange(5.0) - 4.0, np.arange(5.0) + 2.0),
-                       dict(population=12, max_iters=25, recruit_init=3.0, seed=8),
+                       dict(population=12, max_iters=25, recruit_init=3.0), 8,
                        [[0.5] * 5, [9.0, -9.0, 0.0, 1.0, 2.0]],
                        "c05f0c07d89a0ff12318aee0af2b06cbfb9225d666fc3c17758b15854a1e2969", 330),
     "ties": (floor_l1, SearchSpace.cube(2, -3.0, 3.0),
-             dict(population=8, max_iters=30, stagnation_threshold=2, attack_coeff=0.7, seed=7), None,
+             dict(population=8, max_iters=30, stagnation_threshold=2, attack_coeff=0.7), 7, None,
              "f69a1ea30c4246f08c20de0825a036772f9a3ead7dc9eb5f101c00f670625a5a", 308),
     "thirty_dim": (rastrigin, SearchSpace.cube(30, -5.12, 5.12),
-                   dict(population=30, max_iters=15, seed=11), None,
+                   dict(population=30, max_iters=15), 11, None,
                    "44d22fd859a792b11b03957e95cff2804c2734d7e3c3691f78066cd8d4454b66", 480),
 }
 
@@ -478,7 +480,7 @@ GOLDEN_RUNS = {
 def test_run_trajectory_golden(name):
     # bit-identity pin: every evaluated point in order, the history, the best
     # position and the evaluation count hash to the recorded digest
-    objective, space, keywords, seeds, expected_digest, expected_evals = GOLDEN_RUNS[name]
+    objective, space, keywords, seed, seeds, expected_digest, expected_evals = GOLDEN_RUNS[name]
     h = hashlib.sha256()
 
     def probe(x):
@@ -486,7 +488,7 @@ def test_run_trajectory_golden(name):
         return objective(x)
 
     cfg = OptimizerConfig(**keywords)
-    result = run(rowwise(probe), space, cfg, RandomSource(cfg.seed), seed_positions=seeds)
+    result = run(rowwise(probe), space, cfg, RandomSource(seed), seed_positions=seeds)
     h.update(result.history.tobytes())
     h.update(result.best_position.tobytes())
     h.update(str(result.evaluations).encode())
@@ -495,12 +497,13 @@ def test_run_trajectory_golden(name):
 
 
 def test_run_history_monotone_and_budget():
-    cfg = OptimizerConfig(population=10, max_iters=40, seed=3)
+    cfg = OptimizerConfig(population=10, max_iters=40)
     bridges = []
     result = run(
         rowwise(sphere),
         SearchSpace.cube(3, -5.0, 5.0),
         cfg,
+        RandomSource(3),
         observer=lambda state: bridges.append(state.bridge_position is not None),
     )
     assert len(result.history) == 41
@@ -511,14 +514,14 @@ def test_run_history_monotone_and_budget():
 
 
 def test_run_constant_objective():
-    cfg = OptimizerConfig(population=8, max_iters=15, seed=0)
-    result = run(rowwise(lambda x: 7.0), SearchSpace.cube(2, 0.0, 1.0), cfg)
+    cfg = OptimizerConfig(population=8, max_iters=15)
+    result = run(rowwise(lambda x: 7.0), SearchSpace.cube(2, 0.0, 1.0), cfg, RandomSource(0))
     assert result.best_fitness == 7.0
     assert np.all(result.history == 7.0)
 
 
 def test_run_deterministic_trajectory():
-    cfg = OptimizerConfig(population=12, max_iters=30, seed=21)
+    cfg = OptimizerConfig(population=12, max_iters=30)
     space = SearchSpace.cube(4, -3.0, 3.0)
     a = run(rowwise(sphere), space, cfg, RandomSource(21))
     b = run(rowwise(sphere), space, cfg, RandomSource(21))
@@ -527,17 +530,10 @@ def test_run_deterministic_trajectory():
     assert a.evaluations == b.evaluations
 
 
-def test_run_uses_config_seed_when_rng_omitted():
-    cfg = OptimizerConfig(population=10, max_iters=10, seed=77)
-    a = run(rowwise(sphere), SearchSpace.cube(2, -1.0, 1.0), cfg)
-    b = run(rowwise(sphere), SearchSpace.cube(2, -1.0, 1.0), cfg, RandomSource(77))
-    assert np.array_equal(a.history, b.history)
-
-
 def test_run_rejects_non_finite_objective():
-    cfg = OptimizerConfig(population=5, max_iters=5, seed=0)
+    cfg = OptimizerConfig(population=5, max_iters=5)
     with pytest.raises(ValueError, match="non-finite"):
-        run(rowwise(lambda x: math.nan), SearchSpace.cube(2, 0.0, 1.0), cfg)
+        run(rowwise(lambda x: math.nan), SearchSpace.cube(2, 0.0, 1.0), cfg, RandomSource(0))
 
 
 def test_run_sphere_success_rate():
@@ -545,8 +541,8 @@ def test_run_sphere_success_rate():
     space = SearchSpace.cube(2, -5.0, 5.0)
     hits = 0
     for seed in range(1, 51):
-        cfg = OptimizerConfig(population=20, max_iters=200, seed=seed)
-        hits += run(rowwise(sphere), space, cfg).best_fitness <= 1e-3
+        cfg = OptimizerConfig(population=20, max_iters=200)
+        hits += run(rowwise(sphere), space, cfg, RandomSource(seed)).best_fitness <= 1e-3
     assert hits >= 45
 
 
@@ -556,7 +552,7 @@ def test_run_affine_equivariance(seed):
     # the horizon is kept short because float rounding of the translated
     # objective can eventually flip a greedy accept decision and fork the runs
     shift = np.array([3.0, -2.0])
-    cfg = OptimizerConfig(population=15, max_iters=30, seed=seed)
+    cfg = OptimizerConfig(population=15, max_iters=30)
     base = run(rowwise(sphere), SearchSpace.cube(2, -5.0, 5.0), cfg, RandomSource(seed))
     shifted_space = SearchSpace(shift + np.full(2, -5.0), shift + np.full(2, 5.0))
     shifted = run(
@@ -573,16 +569,16 @@ def test_run_positions_respect_bounds():
         seen.append(x.copy())
         return sphere(x)
 
-    cfg = OptimizerConfig(population=8, max_iters=20, seed=9)
-    run(rowwise(probe), SearchSpace.cube(3, -1.0, 2.0), cfg)
+    cfg = OptimizerConfig(population=8, max_iters=20)
+    run(rowwise(probe), SearchSpace.cube(3, -1.0, 2.0), cfg, RandomSource(9))
     stacked = np.stack(seen)
     assert np.all(stacked >= -1.0) and np.all(stacked <= 2.0)
 
 
 def test_observer_sees_schedule():
-    cfg = OptimizerConfig(population=10, max_iters=25, seed=1)
+    cfg = OptimizerConfig(population=10, max_iters=25)
     states = []
-    run(rowwise(sphere), SearchSpace.cube(2, -1.0, 1.0), cfg, observer=states.append)
+    run(rowwise(sphere), SearchSpace.cube(2, -1.0, 1.0), cfg, RandomSource(1), observer=states.append)
     assert [s.t for s in states] == list(range(1, 26))
     assert states[0].num_aver == pytest.approx(avg_recruits(1, cfg))
     for s in states:
@@ -605,16 +601,16 @@ def test_archive_best_equals_global_min_of_evaluations():
         values.append(v)
         return v
 
-    cfg = OptimizerConfig(population=10, max_iters=30, seed=4)
-    result = run(rowwise(tracking), SearchSpace.cube(3, -2.0, 2.0), cfg)
+    cfg = OptimizerConfig(population=10, max_iters=30)
+    result = run(rowwise(tracking), SearchSpace.cube(3, -2.0, 2.0), cfg, RandomSource(4))
     assert result.best_fitness == min(values)
 
 
 @settings(max_examples=10)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_run_histories_never_increase(seed):
-    cfg = OptimizerConfig(population=6, max_iters=10, seed=seed)
-    result = run(rowwise(sphere), SearchSpace.cube(2, -4.0, 4.0), cfg)
+    cfg = OptimizerConfig(population=6, max_iters=10)
+    result = run(rowwise(sphere), SearchSpace.cube(2, -4.0, 4.0), cfg, RandomSource(seed))
     assert np.all(np.diff(result.history) <= 0)
 
 
@@ -626,7 +622,7 @@ def test_runtime_scaling_soft():
     space = SearchSpace.cube(40, -1.0, 1.0)
 
     def timed(pop, iters):
-        cfg = OptimizerConfig(population=pop, max_iters=iters, seed=1)
+        cfg = OptimizerConfig(population=pop, max_iters=iters)
         start = time.perf_counter()
         run(rowwise(sphere), space, cfg, RandomSource(1))
         return time.perf_counter() - start
