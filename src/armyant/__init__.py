@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .baselines import PSOParams, pso_run, random_search_run
+from .baselines import pso_run, random_search_run
 from .benchmarks import BenchmarkFunction, get_benchmark
 from .coverage import (
     CoverageEvaluator,
@@ -27,7 +27,6 @@ __all__ = [
     "CoverageResult",
     "EnhancementRun",
     "OptimizerConfig",
-    "PSOParams",
     "RandomSource",
     "RunResult",
     "RunStatistics",

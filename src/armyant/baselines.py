@@ -1,11 +1,14 @@
-"""Baseline optimizers: canonical global-best PSO and uniform random search."""
+"""Baseline optimizers: canonical global-best PSO and uniform random search.
+
+Both read only ``population`` and ``max_iters`` of the ``OptimizerConfig``
+that AASO takes, so every search of a comparison has the same budget.
+"""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import RunResult, _checked
+from .optimizer import RunResult, _checked, initialize
 
 # acceleration coefficients (cognitive, social) and the inertia weight,
 # which decays linearly from W_MAX to W_MIN over the run
@@ -13,40 +16,23 @@ C1, C2 = 2.0, 2.0
 W_MAX, W_MIN = 0.9, 0.4
 
 
-@dataclass
-class PSOParams:
-    """Swarm size and iteration count of an inertia-weight PSO run."""
-
-    swarm: int = 30
-    iters: int = 100
-
-    def __post_init__(self):
-        if self.swarm < 1 or self.iters < 1:
-            raise ValueError("swarm and iters must be positive")
-
-
-def pso_run(objective, space, params, rng, seed_positions=None):
+def pso_run(objective, space, config, rng, seed_positions=None):
     """Global-best PSO with zero initial velocities and synchronous updates.
 
-    ``objective`` maps an (n, D) block to its (n,) values; the swarm is
-    evaluated as one block at initialization and in each iteration.
+    ``objective`` maps an (n, D) block to its (n,) values; the swarm of
+    ``config.population`` is evaluated as one block at initialization
+    (``optimizer.initialize``) and in each of ``config.max_iters`` iterations.
 
     Per iteration the two acceleration draws are (swarm, dim) uniform blocks,
     velocities are clamped per dimension to +-(upper - lower), and positions
     are clamped into the box. History index 0 is the best after
     initialization.
     """
-    obj = _checked(objective)
-    n, d = params.swarm, space.dim
-    v_max = space.width
+    n, d, iters, v_max = config.population, space.dim, config.max_iters, space.width
 
-    positions = space.sample_uniform(rng, n)
-    if seed_positions is not None:
-        seeds = np.atleast_2d(np.asarray(seed_positions, dtype=float))
-        positions[: seeds.shape[0]] = space.apply_bounds(seeds)
+    obj = _checked(objective)
+    positions, fitness = initialize(config, space, obj, rng, seed_positions)
     velocities = np.zeros((n, d))
-    fitness = obj(positions)
-    evaluations = n
 
     pbest = positions.copy()
     pbest_fit = fitness.copy()
@@ -55,8 +41,8 @@ def pso_run(objective, space, params, rng, seed_positions=None):
     gbest_fit = float(pbest_fit[g])
     history = [gbest_fit]
 
-    for t in range(1, params.iters + 1):
-        frac = (t - 1) / max(params.iters - 1, 1)
+    for t in range(1, iters + 1):
+        frac = (t - 1) / max(iters - 1, 1)
         w = W_MAX - (W_MAX - W_MIN) * frac
         r1 = rng.uniform((n, d))
         r2 = rng.uniform((n, d))
@@ -64,7 +50,6 @@ def pso_run(objective, space, params, rng, seed_positions=None):
         velocities = np.minimum(np.maximum(velocities, -v_max), v_max)
         positions = space.apply_bounds(positions + velocities)
         fitness = obj(positions)
-        evaluations += n
 
         improved = fitness < pbest_fit
         pbest[improved] = positions[improved]
@@ -75,33 +60,26 @@ def pso_run(objective, space, params, rng, seed_positions=None):
             gbest_fit = float(pbest_fit[g])
         history.append(gbest_fit)
 
-    return RunResult(gbest, gbest_fit, np.array(history), evaluations)
+    return RunResult(gbest, gbest_fit, np.array(history), n * (iters + 1))
 
 
-def random_search_run(objective, space, budget, rng, record_every=1):
-    """Uniform sampling null baseline.
+def random_search_run(objective, space, config, rng):
+    """Uniform sampling null baseline: ``config.max_iters + 1`` blocks.
 
-    ``history`` records the best-so-far after every ``record_every`` samples
-    (and after the final partial block), so a record_every equal to a swarm
-    size yields iteration-aligned traces. Each block of ``record_every``
-    samples is drawn at once (the same doubles as one draw per sample) and
-    evaluated as one block. The block's first minimum replaces the best
-    only when strictly lower, so ties keep the earliest sample, as one
-    sample at a time would.
+    Each block is ``config.population`` samples, drawn at once (the same
+    doubles as one draw per sample) and evaluated as one block, so block 0
+    matches an optimizer's initialization and block t its iteration t.
+    ``history`` records the best-so-far after every block. The block's
+    first minimum replaces the best only when strictly lower, so ties keep
+    the earliest sample, as one sample at a time would.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
     obj = _checked(objective)
-    best = None
-    best_fit = math.inf
-    history = []
-    for start in range(0, budget, record_every):
-        block = space.sample_uniform(rng, min(record_every, budget - start))
+    best, best_fit, history = None, math.inf, []
+    for _ in range(config.max_iters + 1):
+        block = space.sample_uniform(rng, config.population)
         values = obj(block)
         i = int(np.argmin(values))
         if values[i] < best_fit:
             best, best_fit = block[i], float(values[i])
         history.append(best_fit)
-    return RunResult(best.copy(), best_fit, np.array(history), budget)
+    return RunResult(best.copy(), best_fit, np.array(history), config.population * len(history))

@@ -21,7 +21,8 @@ from .coverage import (
     write_deployment,
 )
 from .enhance import enhance_aaso, enhance_pso, enhance_vfa
-from .harness import algorithm_params, compare, write_statistics_csv, write_trace_csv
+from .harness import compare, write_atomic, write_statistics_csv, write_trace_csv
+from .optimizer import OptimizerConfig
 from .rng import RandomSource
 from .svgplot import render_deployment_svg
 
@@ -32,22 +33,6 @@ def _ensure_output_dir(path):
         raise OSError(f"output directory {path!r} is not writable")
 
 
-def _write_atomic(path, write, newline=None):
-    """Write ``path`` through ``write(fh)`` all at once or not at all.
-
-    The text goes to a temporary file beside ``path`` that then replaces
-    it, so a failed write leaves the previous file as it was.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", newline=newline) as fh:
-            write(fh)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def _write_curve_csv(curve, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -56,15 +41,22 @@ def _write_curve_csv(curve, path):
             writer.writerow([i, repr(float(v))])
 
 
-def _enhance(algorithm, sensors, field, spec, seed):
-    if algorithm == "vfa":
-        return enhance_vfa(sensors, field, spec.iterations)
-    params = algorithm_params(
-        algorithm, spec.population, spec.iterations,
-        spec.recruit_init, spec.attack_coeff, spec.stagnation,
+def _optimizer_config(spec):
+    """The run parameters of every search of the experiment ``spec``."""
+    return OptimizerConfig(
+        population=spec.population,
+        max_iters=spec.iterations,
+        recruit_init=spec.recruit_init,
+        attack_coeff=spec.attack_coeff,
+        stagnation_threshold=spec.stagnation,
     )
+
+
+def _enhance(algorithm, sensors, field, config, seed):
+    if algorithm == "vfa":
+        return enhance_vfa(sensors, field, config.max_iters)
     enhance = enhance_aaso if algorithm == "aaso" else enhance_pso
-    return enhance(sensors, field, params, RandomSource(seed))
+    return enhance(sensors, field, config, RandomSource(seed))
 
 
 def run_cover(spec):
@@ -76,6 +68,7 @@ def run_cover(spec):
     out = spec.output_dir
     field = CoverageField(spec.area_length_m, spec.area_width_m, spec.grid_interval_m)
     alpha = math.radians(spec.view_angle_deg)
+    config = _optimizer_config(spec)
 
     results = []
     finals = {a: [] for a in spec.algorithms}
@@ -94,7 +87,7 @@ def run_cover(spec):
             continue
         for algorithm in spec.algorithms:
             try:
-                run = _enhance(algorithm, sensors, field, spec, seed)
+                run = _enhance(algorithm, sensors, field, config, seed)
                 _write_curve_csv(run.curve, os.path.join(out, f"curve_{algorithm}_{seed}.csv"))
                 final_sensors = with_deviations(sensors, run.best_angles)
                 render_deployment_svg(
@@ -133,8 +126,8 @@ def run_cover(spec):
                     [algorithm, values.size, repr(float(values.mean())), repr(std)]
                 )
 
-    _write_atomic(os.path.join(out, "results.json"), write_results)
-    _write_atomic(os.path.join(out, "summary.csv"), write_summary, newline="")
+    write_atomic(os.path.join(out, "results.json"), write_results)
+    write_atomic(os.path.join(out, "summary.csv"), write_summary, newline="")
 
     if failures:
         for seed, stage, message in failures:
@@ -148,16 +141,8 @@ def run_bench(spec):
     _ensure_output_dir(spec.output_dir)
     out = spec.output_dir
     stats = compare(
-        spec.algorithms,
-        spec.functions,
-        spec.runs,
-        spec.base_seed,
-        population=spec.population,
-        iterations=spec.iterations,
-        dim=spec.dimension,
-        recruit_init=spec.recruit_init,
-        attack_coeff=spec.attack_coeff,
-        stagnation=spec.stagnation,
+        spec.algorithms, spec.functions, spec.runs, spec.base_seed,
+        _optimizer_config(spec), spec.dimension,
     )
     write_statistics_csv(stats, os.path.join(out, "statistics.csv"))
     for s in stats:

@@ -1,5 +1,6 @@
 """Experiment configuration: line-oriented ``key = value`` files."""
 
+import math
 from dataclasses import dataclass
 
 from .benchmarks import FUNCTION_NAMES
@@ -39,22 +40,22 @@ class ExperimentSpec:
             raise ValueError(f"kind must be {' or '.join(ALGORITHMS)}, got {self.kind!r}")
         if self.algorithms is None:
             self.algorithms = ALGORITHMS[self.kind]
-        if self.area_length_m <= 0 or self.area_width_m <= 0:
-            raise ValueError("monitoring area dimensions must be positive")
-        if self.grid_interval_m <= 0:
-            raise ValueError("grid_interval_m must be positive")
+        if not (0 < self.area_length_m < math.inf and 0 < self.area_width_m < math.inf):
+            raise ValueError("monitoring area dimensions must be positive and finite")
+        if not 0 < self.grid_interval_m < math.inf:
+            raise ValueError("grid_interval_m must be positive and finite")
         if self.node_count < 1:
             raise ValueError("node_count must be at least 1")
-        if self.radius_m <= 0:
-            raise ValueError("radius_m must be positive")
+        if not 0 < self.radius_m < math.inf:
+            raise ValueError("radius_m must be positive and finite")
         if not 0 < self.view_angle_deg <= 360:
             raise ValueError("view_angle_deg must lie in (0, 360]")
         if self.population < 4:
             raise ValueError("population must be at least 4")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if not self.attack_coeff > 0:
-            raise ValueError("attack_coeff must be positive")
+        if not 0 < self.attack_coeff < math.inf:
+            raise ValueError("attack_coeff must be positive and finite")
         if self.recruit_init is not None and not 0 < self.recruit_init <= self.population:
             raise ValueError("recruit_init must lie in (0, population]")
         if self.stagnation < 1:

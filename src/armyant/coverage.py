@@ -131,10 +131,10 @@ class CoverageField:
     interval: float
 
     def __post_init__(self):
-        if self.length <= 0.0 or self.width <= 0.0:
-            raise ValueError("field dimensions must be positive")
-        if self.interval <= 0.0:
-            raise ValueError("grid interval must be positive")
+        if not (0.0 < self.length < math.inf and 0.0 < self.width < math.inf):
+            raise ValueError("field dimensions must be positive and finite")
+        if not 0.0 < self.interval < math.inf:
+            raise ValueError("grid interval must be positive and finite")
         self.nx = math.ceil(self.length / self.interval)
         self.ny = math.ceil(self.width / self.interval)
         self.grid_count = self.nx * self.ny
@@ -554,8 +554,8 @@ def required_nodes(target, radius, alpha, area):
 
 
 def _sector_fraction(radius, alpha, area):
-    if radius <= 0.0 or not 0.0 < alpha <= TWO_PI or area <= 0.0:
-        raise ValueError("need positive radius and area and view angle in (0, 2*pi]")
+    if not (0.0 < radius < math.inf and 0.0 < alpha <= TWO_PI and 0.0 < area < math.inf):
+        raise ValueError("need finite positive radius and area and view angle in (0, 2*pi]")
     p = alpha * radius**2 / (2.0 * area)
     if p > 1.0:
         raise ValueError("sensor sector area exceeds the monitoring region")

@@ -49,7 +49,7 @@ def _rates_from_history(history, grid_count):
     return covered / grid_count
 
 
-def _search_angles(sensors, field, search, params, rng):
+def _search_angles(sensors, field, search, config, rng):
     """Minimize the reciprocal coverage with ``search`` over the angle box.
 
     ``search`` is ``optimizer.run`` or ``pso_run``; the as-deployed angles
@@ -63,7 +63,7 @@ def _search_angles(sensors, field, search, params, rng):
     space = SearchSpace.cube(len(sensors), 0.0, TWO_PI)
     incumbent = np.array([s.deviation for s in sensors])
     initial_rate = evaluator.rate(incumbent)
-    result = search(evaluator.fitness, space, params, rng, seed_positions=[incumbent])
+    result = search(evaluator.fitness, space, config, rng, seed_positions=[incumbent])
     return EnhancementRun(
         initial_rate=initial_rate,
         final_rate=evaluator.rate(result.best_position),
@@ -79,9 +79,9 @@ def enhance_aaso(sensors, field, config, rng):
     return _search_angles(sensors, field, optimizer.run, config, rng)
 
 
-def enhance_pso(sensors, field, params, rng):
+def enhance_pso(sensors, field, config, rng):
     """Inertia-weight PSO baseline over the same clamped angle box."""
-    return _search_angles(sensors, field, pso_run, params, rng)
+    return _search_angles(sensors, field, pso_run, config, rng)
 
 
 def _wrap_signed(angle):

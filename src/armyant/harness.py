@@ -1,6 +1,11 @@
-"""Repeated-run comparison harness with paired seeds and CSV reporting."""
+"""Repeated-run comparison harness with paired seeds and CSV reporting.
+
+Every search of a comparison runs with the one ``OptimizerConfig``, and
+the statistics file is written all at once or not at all.
+"""
 
 import csv
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,55 +33,30 @@ class RunStatistics:
         return np.array([h[-1] for h in self.histories])
 
 
-def algorithm_params(name, population, iterations, recruit_init=None, attack_coeff=2.0, stagnation=5):
-    """Parameters of one ``aaso`` or ``pso`` run, from the experiment values."""
-    if name == "aaso":
-        return optimizer.OptimizerConfig(
-            population=population,
-            max_iters=iterations,
-            recruit_init=recruit_init,
-            attack_coeff=attack_coeff,
-            stagnation_threshold=stagnation,
-        )
-    return baselines.PSOParams(swarm=population, iters=iterations)
+def compare(algorithms, functions, runs, base_seed, config, dim):
+    """Run every algorithm on every ``dim``-dimensional function with paired seeds.
 
-
-def _run_algorithm(name, func, seed, population, iterations, aaso):
-    rng = RandomSource(seed)
-    if name == "random":
-        budget = population * (iterations + 1)
-        return baselines.random_search_run(func, func.box, budget, rng, record_every=population)
-    params = algorithm_params(name, population, iterations, *aaso)
-    # looked up per call, never from a table built at import, so that a
-    # patched module attribute (perfbench/tracer.py) sees every run
-    search = optimizer.run if name == "aaso" else baselines.pso_run
-    return search(func, func.box, params, rng)
-
-
-def compare(
-    algorithms, functions, runs, base_seed, population=30, iterations=1000, dim=30,
-    recruit_init=None, attack_coeff=2.0, stagnation=5,
-):
-    """Run every algorithm on every function with paired per-run seeds.
-
-    Run r of each pairing uses seed base_seed + r, so all algorithms see
-    identical seeds and budgets (population x iterations evaluations, plus
-    the optimizers' initialization sweep). ``recruit_init``,
-    ``attack_coeff`` and ``stagnation`` set the AASO runs (see
-    ``algorithm_params``). Returns one RunStatistics per (algorithm,
-    function) with per-run traces attached.
+    Run r of each pairing uses seed base_seed + r, and every search gets the
+    one ``config``, so all algorithms see identical seeds and budgets
+    (``config.population`` evaluations at initialization and in each of
+    ``config.max_iters`` iterations, plus AASO's bridge extras). Returns one
+    RunStatistics per (algorithm, function) with per-run traces attached.
     """
     if runs < 2:
         raise ValueError("need at least 2 runs for statistics")
-    aaso = (recruit_init, attack_coeff, stagnation)
     results = []
     for name in algorithms:
         if name not in ALGORITHMS["bench"]:
             raise ValueError(f"unknown algorithm {name!r}")
+        # looked up per call, never from a table built at import, so that a
+        # patched module attribute (perfbench/tracer.py) sees every run
+        search = {
+            "aaso": optimizer.run, "pso": baselines.pso_run, "random": baselines.random_search_run
+        }[name]
         for fname in functions:
             func = get_benchmark(fname, dim)
             histories = [
-                _run_algorithm(name, func, base_seed + r, population, iterations, aaso).history
+                search(func, func.box, config, RandomSource(base_seed + r)).history
                 for r in range(runs)
             ]
             finals = np.array([h[-1] for h in histories])
@@ -94,12 +74,30 @@ def compare(
     return results
 
 
+def write_atomic(path, write, newline=None):
+    """Write ``path`` through ``write(fh)`` all at once or not at all.
+
+    The text goes to a temporary file beside ``path`` that then replaces
+    it, so a failed write leaves the previous file as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def write_statistics_csv(stats, path):
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "function", "runs", "best", "mean", "std"])
         for s in stats:
             writer.writerow([s.algorithm, s.function, s.runs, repr(s.best), repr(s.mean), repr(s.std)])
+
+    write_atomic(path, write, newline="")
 
 
 def write_trace_csv(history, path):

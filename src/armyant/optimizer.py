@@ -45,7 +45,12 @@ BRIDGE_EPS = 1e-12
 
 @dataclass
 class OptimizerConfig:
-    """Run parameters. ``recruit_init`` defaults to population/2."""
+    """Run parameters of every search: AASO, ``pso_run`` and ``random_search_run``.
+
+    Each search reads ``population`` and ``max_iters``; only AASO reads
+    ``recruit_init`` (default population/2), ``attack_coeff`` and
+    ``stagnation_threshold``.
+    """
 
     population: int = 50
     max_iters: int = 100
@@ -65,8 +70,8 @@ class OptimizerConfig:
             self.recruit_init = self.population / 2.0
         if not 0.0 < self.recruit_init <= self.population:
             raise ValueError("recruit_init must lie in (0, population]")
-        if not self.attack_coeff > 0.0:
-            raise ValueError("attack_coeff must be positive")
+        if not 0.0 < self.attack_coeff < math.inf:
+            raise ValueError("attack_coeff must be positive and finite")
         if self.stagnation_threshold < 1:
             raise ValueError("stagnation_threshold must be at least 1")
 

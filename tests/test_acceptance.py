@@ -92,7 +92,7 @@ def test_c4_headline_experiment():
         aaso_20.append(res.curve[20])
         initial.append(res.initial_rate)
         vfa_final.append(aa.enhance_vfa(sensors, field, max_iters=100).final_rate)
-        pso = aa.enhance_pso(sensors, field, aa.PSOParams(swarm=50, iters=100), RandomSource(seed))
+        pso = aa.enhance_pso(sensors, field, cfg, RandomSource(seed))
         pso_final.append(pso.final_rate)
 
     mean_final = float(np.mean(aaso_final))
@@ -137,7 +137,8 @@ def test_c6_brute_force_oracle_equivalence():
         aaso_count = round(aaso.final_rate * field.grid_count)
         assert abs(aaso_count - sweep_best) <= 1
 
-        pso = aa.enhance_pso(sensors, field, aa.PSOParams(swarm=50, iters=100), RandomSource(seed))
+        pso_cfg = OptimizerConfig(population=50, max_iters=100)
+        pso = aa.enhance_pso(sensors, field, pso_cfg, RandomSource(seed))
         pso_count = round(pso.final_rate * field.grid_count)
         assert abs(pso_count - sweep_best) <= 1
     report(6, "single-sensor optimum matches the 0.5 degree exhaustive sweep within 1 grid")
@@ -208,7 +209,7 @@ def test_c8_optimizer_operator_suite():
 def test_c9_benchmark_sanity():
     functions = ["sphere", "rosenbrock", "rastrigin", "ackley", "griewank", "schwefel"]
     stats = compare(["aaso", "random"], functions, runs=50, base_seed=1,
-                    population=30, iterations=1000, dim=30)
+                    config=OptimizerConfig(population=30, max_iters=1000), dim=30)
     by_key = {(s.algorithm, s.function): s for s in stats}
     wins = sum(
         by_key[("aaso", f)].mean < by_key[("random", f)].mean for f in functions

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from armyant.baselines import PSOParams, pso_run, random_search_run
+from armyant.baselines import pso_run, random_search_run
 from armyant.benchmarks import FUNCTION_NAMES, get_benchmark
 from armyant.optimizer import OptimizerConfig, rowwise, run
 from armyant.rng import RandomSource
@@ -112,13 +112,10 @@ def test_block_values_equal_per_point_values_to_the_bit(name, dim, unit):
 def test_block_and_rowwise_searches_agree(name):
     # the block path and one call per point give bit-identical runs
     f = get_benchmark(name, 30)
-    searches = [
-        lambda obj: run(obj, f.box, OptimizerConfig(population=10, max_iters=15), RandomSource(3)),
-        lambda obj: pso_run(obj, f.box, PSOParams(swarm=10, iters=15), RandomSource(3)),
-        lambda obj: random_search_run(obj, f.box, 160, RandomSource(3), record_every=10),
-    ]
-    for search in searches:
-        block, per_point = search(f), search(rowwise(f))
+    config = OptimizerConfig(population=10, max_iters=15)
+    for search in (run, pso_run, random_search_run):
+        block = search(f, f.box, config, RandomSource(3))
+        per_point = search(rowwise(f), f.box, config, RandomSource(3))
         assert block.history.tobytes() == per_point.history.tobytes()
         assert block.best_position.tobytes() == per_point.best_position.tobytes()
         assert block.evaluations == per_point.evaluations

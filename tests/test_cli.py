@@ -9,8 +9,8 @@ import pytest
 
 import armyant.cli
 from armyant.benchmarks import get_benchmark
-from armyant.cli import _write_atomic, analyze_report, main
-from armyant.harness import compare, write_statistics_csv
+from armyant.cli import analyze_report, main
+from armyant.harness import compare, write_atomic, write_statistics_csv
 from armyant.optimizer import OptimizerConfig, run
 from armyant.rng import RandomSource
 
@@ -158,6 +158,12 @@ def test_analyze_extreme_target_stays_finite():
     report = analyze_report(500, 500, 110, 60, 90, target=0.9999999)
     needed = int(re.search(r"required nodes for target coverage [\d.]+: (\d+)", report).group(1))
     assert needed > 1000
+
+
+def test_analyze_non_finite_radius_is_an_error(capsys):
+    code = main(["analyze", "--area", "500x500", "--nodes", "110", "--radius", "nan", "--fov", "90"])
+    assert code == 2
+    assert "error: need finite positive radius and area" in capsys.readouterr().err
 
 
 def test_analyze_bad_area(capsys):
@@ -317,14 +323,14 @@ def test_cover_programming_error_propagates(tmp_path, monkeypatch):
 
 def test_atomic_write_failing_halfway_keeps_previous_file(tmp_path):
     path = tmp_path / "results.json"
-    _write_atomic(str(path), lambda fh: fh.write("old\n"))
+    write_atomic(str(path), lambda fh: fh.write("old\n"))
 
     def fails_halfway(fh):
         fh.write("new, part one\n")
         raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):
-        _write_atomic(str(path), fails_halfway)
+        write_atomic(str(path), fails_halfway)
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
 
@@ -343,6 +349,24 @@ def test_cover_failed_results_write_keeps_previous_outputs(tmp_path, capsys, mon
     assert main(["cover", "run", "--config", config, "--out", str(out)]) == 2
     assert "disk full" in capsys.readouterr().err
     assert tree_digest(out) == before  # same names and bytes: no partial or temporary file
+
+
+@pytest.mark.parametrize("line,message", [
+    ("area_length_m = inf", "monitoring area dimensions must be positive and finite"),
+    ("area_length_m = nan", "monitoring area dimensions must be positive and finite"),
+    ("grid_interval_m = inf", "grid_interval_m must be positive and finite"),
+    ("radius_m = nan", "radius_m must be positive and finite"),
+    ("radius_m = inf", "radius_m must be positive and finite"),
+    ("attack_coeff = inf", "attack_coeff must be positive and finite"),
+], ids=["length_inf", "length_nan", "interval_inf", "radius_nan", "radius_inf", "attack_inf"])
+def test_cover_non_finite_config_value_fails_before_running(tmp_path, capsys, line, message):
+    key = line.split()[0]
+    kept = [row for row in TINY_COVER.splitlines() if row.split(" ")[0] != key]
+    config = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
+    out = tmp_path / "out"
+    assert main(["cover", "run", "--config", config, "--out", str(out)]) == 2
+    assert f"error: {config}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cover_unwritable_output_aborts(tmp_path, capsys):
@@ -397,14 +421,12 @@ def test_bench_run_honours_aaso_keys(tmp_path):
     assert statistics != (plain / "statistics.csv").read_bytes()
 
     expected = tmp_path / "expected.csv"
-    stats = compare(["aaso", "random"], ["sphere"], runs=2, base_seed=3, population=6,
-                    iterations=8, dim=3, attack_coeff=0.5, stagnation=1)
+    config = OptimizerConfig(population=6, max_iters=8, attack_coeff=0.5, stagnation_threshold=1)
+    stats = compare(["aaso", "random"], ["sphere"], runs=2, base_seed=3, config=config, dim=3)
     write_statistics_csv(stats, expected)
     assert statistics == expected.read_bytes()
     func = get_benchmark("sphere", 3)
     for seed in (3, 4):
-        config = OptimizerConfig(population=6, max_iters=8, attack_coeff=0.5,
-                                 stagnation_threshold=1)
         history = run(func, func.box, config, RandomSource(seed)).history
         rows = list(csv.reader(open(tuned / f"trace_aaso_sphere_{seed}.csv")))[1:]
         assert [float(r[1]) for r in rows] == history.tolist()

@@ -120,6 +120,21 @@ def test_aaso_values_rejected_at_parse_with_path(tmp_path, line, message):
             parse_config(path)
 
 
+@pytest.mark.parametrize("key,message", [
+    ("area_length_m", "monitoring area dimensions must be positive and finite"),
+    ("area_width_m", "monitoring area dimensions must be positive and finite"),
+    ("grid_interval_m", "grid_interval_m must be positive and finite"),
+    ("radius_m", "radius_m must be positive and finite"),
+    ("attack_coeff", "attack_coeff must be positive and finite"),
+], ids=["area_length_m", "area_width_m", "grid_interval_m", "radius_m", "attack_coeff"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_values_rejected_at_parse_with_path(tmp_path, key, message, value):
+    # NaN and infinity pass a plain sign test
+    path = write(tmp_path, f"kind = cover\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
+        parse_config(path)
+
+
 def test_analyze_kind_rejected_at_parse_with_path(tmp_path):
     # only cover and bench read a config; armyant analyze takes flags
     path = write(tmp_path, "kind = analyze\n")

@@ -84,6 +84,16 @@ def test_field_validation():
         CoverageField(10, 10, 0)
 
 
+@pytest.mark.parametrize("name", ["length", "width", "interval"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_field_rejects_non_finite_values(name, value):
+    # the grid counts are ceil(extent / interval), which has no value here
+    values = dict(length=10.0, width=10.0, interval=1.0)
+    values[name] = value
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        CoverageField(**values)
+
+
 def test_deployment_scheme_canonicalizes():
     # a deployment scheme is an array of deviations; enhancers report theirs
     # through canonicalize_angle
@@ -241,6 +251,16 @@ def test_expected_initial_coverage_domain_errors():
         expected_initial_coverage(5, 1000, 2 * PI, 100.0)
     with pytest.raises(ValueError):
         expected_initial_coverage(-1, 10, 1.0, 1000.0)
+
+
+@pytest.mark.parametrize("radius,area", [
+    (math.nan, 1e4), (math.inf, 1e4), (10.0, math.nan), (10.0, math.inf),
+], ids=["radius_nan", "radius_inf", "area_nan", "area_inf"])
+def test_deployment_math_rejects_non_finite_inputs(radius, area):
+    with pytest.raises(ValueError, match="need finite positive radius and area"):
+        expected_initial_coverage(5, radius, PI / 2, area)
+    with pytest.raises(ValueError, match="need finite positive radius and area"):
+        required_nodes(0.5, radius, PI / 2, area)
 
 
 def test_required_nodes_paper_scenario():

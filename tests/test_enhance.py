@@ -35,7 +35,8 @@ def test_single_sensor_matches_brute_force_sweep(seed):
     run = enhance_aaso(sensors, field, cfg, RandomSource(seed))
     assert abs(round(run.final_rate * field.grid_count) - best) <= 1
 
-    pso = enhance_pso(sensors, field, aa.PSOParams(swarm=50, iters=100), RandomSource(seed))
+    pso_cfg = aa.OptimizerConfig(population=50, max_iters=100)
+    pso = enhance_pso(sensors, field, pso_cfg, RandomSource(seed))
     assert abs(round(pso.final_rate * field.grid_count) - best) <= 1
 
 
@@ -54,7 +55,7 @@ def test_two_colocated_sensors_reach_disjoint_cones():
     ("aaso", lambda s, f, seed: enhance_aaso(
         s, f, aa.OptimizerConfig(population=10, max_iters=15), RandomSource(seed))),
     ("pso", lambda s, f, seed: enhance_pso(
-        s, f, aa.PSOParams(swarm=10, iters=15), RandomSource(seed))),
+        s, f, aa.OptimizerConfig(population=10, max_iters=15), RandomSource(seed))),
     ("vfa", lambda s, f, seed: enhance_vfa(s, f, 15)),
 ])
 def test_enhancement_run_contract(name, runner):
@@ -79,7 +80,7 @@ def test_enhancement_run_contract(name, runner):
     lambda s, f, seed: enhance_aaso(
         s, f, aa.OptimizerConfig(population=8, max_iters=12), RandomSource(seed)),
     lambda s, f, seed: enhance_pso(
-        s, f, aa.PSOParams(swarm=8, iters=12), RandomSource(seed)),
+        s, f, aa.OptimizerConfig(population=8, max_iters=12), RandomSource(seed)),
     lambda s, f, seed: enhance_vfa(s, f, 12),
 ])
 def test_enhancers_deterministic(runner):
@@ -102,7 +103,8 @@ def test_aaso_evaluation_budget():
 
 def test_pso_evaluation_budget():
     field, sensors = headline_instance(seed=4)
-    run = enhance_pso(sensors, field, aa.PSOParams(swarm=10, iters=20), RandomSource(4))
+    cfg = aa.OptimizerConfig(population=10, max_iters=20)
+    run = enhance_pso(sensors, field, cfg, RandomSource(4))
     assert run.evaluations == 10 * 21
 
 
@@ -147,7 +149,7 @@ def test_empty_sensor_list_rejected():
     with pytest.raises(ValueError):
         enhance_vfa([], field, 100)
     with pytest.raises(ValueError):
-        enhance_pso([], field, aa.PSOParams(), RandomSource(0))
+        enhance_pso([], field, aa.OptimizerConfig(), RandomSource(0))
 
 
 # name -> (sha256 of curve bytes, sha256 of best-angle bytes, evaluations), recorded
@@ -166,13 +168,11 @@ ENHANCE_GOLDEN = {
 def test_enhance_golden(name):
     field = aa.CoverageField(200, 200, 10)  # 20 x 20 grids
     sensors = aa.random_deployment(field, 20, 40.0, PI / 2, RandomSource(13))
-    if name == "aaso":
-        cfg = aa.OptimizerConfig(population=20, max_iters=20)
-        run = enhance_aaso(sensors, field, cfg, RandomSource(13))
-    elif name == "pso":
-        run = enhance_pso(sensors, field, aa.PSOParams(swarm=20, iters=20), RandomSource(13))
-    else:
+    if name == "vfa":
         run = enhance_vfa(sensors, field, 20)
+    else:
+        enhance = enhance_aaso if name == "aaso" else enhance_pso
+        run = enhance(sensors, field, aa.OptimizerConfig(population=20, max_iters=20), RandomSource(13))
     got = (
         hashlib.sha256(run.curve.tobytes()).hexdigest(),
         hashlib.sha256(run.best_angles.tobytes()).hexdigest(),

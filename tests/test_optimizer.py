@@ -52,6 +52,8 @@ def test_config_defaults_and_validation():
         OptimizerConfig(population=10, max_iters=5, attack_coeff=0.0)
     with pytest.raises(ValueError, match="attack_coeff"):
         OptimizerConfig(population=10, max_iters=5, attack_coeff=math.nan)
+    with pytest.raises(ValueError, match="attack_coeff must be positive and finite"):
+        OptimizerConfig(population=10, max_iters=5, attack_coeff=math.inf)  # NaN moves
     with pytest.raises(ValueError):
         OptimizerConfig(population=10, max_iters=5, stagnation_threshold=0)
 
