@@ -222,6 +222,7 @@ def main(argv=None):
                 raise ValueError(f"config kind is {spec.kind!r}, expected 'cover'")
             if args.seeds:
                 spec.seeds = parse_seed_list(args.seeds)
+                spec.validate()
             if args.out:
                 spec.output_dir = args.out
             return run_cover(spec)

@@ -62,9 +62,13 @@ class ExperimentSpec:
             raise ValueError("stagnation must be at least 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {min(self.seeds)}")
+        _check_distinct("seeds", self.seeds)
         allowed = ALGORITHMS[self.kind]
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
+        _check_distinct("algorithms", self.algorithms)
         for a in self.algorithms:
             if a not in allowed:
                 raise ValueError(
@@ -75,11 +79,21 @@ class ExperimentSpec:
             for f_name in self.functions:
                 if f_name not in FUNCTION_NAMES:
                     raise ValueError(f"unknown benchmark function {f_name!r}")
+            _check_distinct("functions", self.functions)
+            if self.base_seed < 0:
+                raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
             if self.dimension < 1:
                 raise ValueError("dimension must be at least 1")
             if self.runs < 2:
                 raise ValueError("runs must be at least 2")
         return self
+
+
+def _check_distinct(key, values):
+    # a repeated entry would run, write and summarize the same runs twice
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{key} lists {value!r} more than once")
 
 
 def parse_seed_list(text):

@@ -78,9 +78,6 @@ bisected over all of [0, P) instead, branch by branch
 (``_bisect_intervals``). An evaluation then tests lo <= theta <= hi, or
 theta >= lo or theta <= hi when lo > hi: two compares and two XORs
 (``_in_interval``).
-
-An evaluator owns scratch buffers that every evaluation overwrites, so
-one evaluator must not be called concurrently from several threads.
 """
 
 import csv
@@ -212,18 +209,17 @@ def _sensed(bearing, half, upper, theta):
     return (diff <= half) | (diff >= upper)
 
 
-def _in_interval(theta, lo, hi, in_order, ge, le):
-    """In place into ``ge``: whether ``theta`` lies in the circular ``[lo, hi]``.
+def _in_interval(theta, lo, hi, in_order):
+    """Whether ``theta`` lies in the circular ``[lo, hi]``.
 
     ``in_order`` is ``lo <= hi``. When it holds, one of ``theta >= lo`` and
     ``theta <= hi`` always does, so XOR-ing their XOR with it gives their
     AND; when the interval wraps, both cannot hold, so their XOR is their OR.
     """
-    np.greater_equal(theta, lo, out=ge)
-    np.less_equal(theta, hi, out=le)
-    ge ^= le
-    ge ^= in_order
-    return ge
+    inside = theta >= lo
+    inside ^= theta <= hi
+    inside ^= in_order
+    return inside
 
 
 def _sensing_intervals(bearing, half, zero):
@@ -282,26 +278,18 @@ def _bound(bearing, half, upper, estimate, rising):
     ok = ((first < last)
           & (_sensed(bearing, half, upper, first.view(np.float64)) != rising)
           & (_sensed(bearing, half, upper, last.view(np.float64)) == rising))
-    found = first.copy()
-    # the transition lies after ``near`` and at most ``width`` patterns on
-    live = np.flatnonzero(ok)
-    near, b, h = first[live], bearing[live], half[live]
-    width = last[live] - near
-    while live.size:
-        done = width == 1
-        if 2 * np.count_nonzero(done) >= live.size:  # retire settled entries in batches
-            found[live[done]] = near[done] + rising
-            keep = ~done
-            live, near, width, b, h = (x[keep] for x in (live, near, width, b, h))
-            continue
-        # a settled entry bisects in place: its jump is 0
+    # the transition lies after ``near`` and at most ``width`` patterns on; all
+    # entries bisect in step, and a settled or unqualified one has width 1 and
+    # jump 0, so it does not move
+    near, width = first, np.where(ok, last - first, 1)
+    while (width > 1).any():
         jump = width >> 1
-        beyond = _sensed(b, h, TWO_PI - h, (near + jump).view(np.float64))
+        beyond = _sensed(bearing, half, upper, (near + jump).view(np.float64))
         if not rising:
             beyond = ~beyond
         near += jump * ~beyond
         width = jump + (width & 1) * ~beyond
-    return found, ok
+    return near + rising, ok
 
 
 def _bisect_intervals(bearing, half, upper):
@@ -407,36 +395,30 @@ class CoverageEvaluator:
     the grid is sensed (module docstring), so an evaluation is two
     compares and two XORs per entry. Per entry it keeps the grid index
     ``_idx``, the interval ``_lo``/``_hi`` and the flag ``_in_order``
-    (``lo <= hi``; clear when the interval wraps past 2*pi), plus the
-    scratch flags ``_ge`` and ``_le`` that every evaluation overwrites.
-    An evaluation allocates only the per-entry angles, the grid indices
-    of the sensed entries and the returned mask. One evaluator must not be
-    called concurrently from several threads (it owns the scratch flags).
+    (``lo <= hi``; clear when the interval wraps past 2*pi). Nothing is
+    written after the build: every evaluation allocates its own arrays, so
+    one evaluator may be shared by several threads.
 
     ``per_sensor[i]`` holds views of sensor i's candidate grid indices,
     bearings and zero-distance flags.
     """
 
     def __init__(self, sensors, field):
-        self.sensors = list(sensors)
-        self.field = field
+        sensors = list(sensors)
         self.grid_count = field.grid_count
-        self._idx, bearing, zero, self._counts = _candidate_entries(self.sensors, field)
+        self._idx, bearing, zero, self._counts = _candidate_entries(sensors, field)
         ends = np.cumsum(self._counts).tolist()
         self._parts = [slice(e - c, e) for c, e in zip(self._counts.tolist(), ends)]
         self.per_sensor = [(self._idx[p], bearing[p], zero[p]) for p in self._parts]
-        half = np.repeat([s.view_angle / 2.0 for s in self.sensors], self._counts)
+        half = np.repeat([s.view_angle / 2.0 for s in sensors], self._counts)
         self._lo, self._hi = _sensing_intervals(bearing, half, zero)
         self._in_order = self._lo <= self._hi
-        self._ge = np.empty(self._idx.size, dtype=bool)
-        self._le = np.empty(self._idx.size, dtype=bool)
 
     def sensed_subset(self, sensor_index, theta):
         """Mask over sensor_index's candidate grids sensed at angle theta."""
         theta = float(canonicalize_angle(theta))
         part = self._parts[sensor_index]
-        return _in_interval(theta, self._lo[part], self._hi[part], self._in_order[part],
-                            self._ge[part], self._le[part]).copy()
+        return _in_interval(theta, self._lo[part], self._hi[part], self._in_order[part])
 
     def covered_mask(self, angles):
         """Fresh grid-sized mask of the grids covered at the given angles.
@@ -449,12 +431,11 @@ class CoverageEvaluator:
         # the intervals hold for theta in [0, 2*pi); canonicalizing also makes
         # theta = 2*pi and theta = 0 evaluate identically
         angles = np.asarray(canonicalize_angle(np.asarray(angles, dtype=float)))
-        if angles.shape != (len(self.sensors),):
+        if angles.shape != self._counts.shape:
             raise ValueError("need exactly one angle per sensor")
         # np.repeat measured faster than a padded per-sensor layout; it
         # allocates, but the allocation adds no page faults per call
-        sensed = _in_interval(np.repeat(angles, self._counts), self._lo, self._hi,
-                              self._in_order, self._ge, self._le)
+        sensed = _in_interval(np.repeat(angles, self._counts), self._lo, self._hi, self._in_order)
         covered = np.zeros(self.grid_count, dtype=bool)
         covered[self._idx[sensed]] = True
         return covered

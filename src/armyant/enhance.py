@@ -132,9 +132,8 @@ def enhance_vfa(sensors, field, max_iters):
         counts[sensed] += 1
         sensed_cache.append(sensed)
         evaluations += 1
-    covered_count = int(np.count_nonzero(counts))
 
-    initial_rate = covered_count / field.grid_count
+    initial_rate = np.count_nonzero(counts) / field.grid_count
     best_rate = initial_rate
     best_angles = thetas.copy()
     curve = [best_rate]
@@ -164,14 +163,12 @@ def enhance_vfa(sensors, field, max_iters):
 
             old = sensed_cache[i]
             counts[old] -= 1
-            covered_count -= int(np.count_nonzero(counts[old] == 0))
             new = idx[evaluator.sensed_subset(i, thetas[i])]
-            covered_count += int(np.count_nonzero(counts[new] == 0))
             counts[new] += 1
             sensed_cache[i] = new
             evaluations += 1
 
-        rate = covered_count / field.grid_count
+        rate = np.count_nonzero(counts) / field.grid_count
         if rate > best_rate:
             best_rate = rate
             best_angles = thetas.copy()

@@ -44,17 +44,19 @@ def compare(algorithms, functions, runs, base_seed, config, dim):
     """
     if runs < 2:
         raise ValueError("need at least 2 runs for statistics")
-    results = []
+    # every name is checked before the first run
     for name in algorithms:
         if name not in ALGORITHMS["bench"]:
             raise ValueError(f"unknown algorithm {name!r}")
+    funcs = [get_benchmark(fname, dim) for fname in functions]
+    results = []
+    for name in algorithms:
         # looked up per call, never from a table built at import, so that a
         # patched module attribute (perfbench/tracer.py) sees every run
         search = {
             "aaso": optimizer.run, "pso": baselines.pso_run, "random": baselines.random_search_run
         }[name]
-        for fname in functions:
-            func = get_benchmark(fname, dim)
+        for func in funcs:
             histories = [
                 search(func, func.box, config, RandomSource(base_seed + r)).history
                 for r in range(runs)
@@ -63,7 +65,7 @@ def compare(algorithms, functions, runs, base_seed, config, dim):
             results.append(
                 RunStatistics(
                     algorithm=name,
-                    function=fname,
+                    function=func.name,
                     runs=runs,
                     best=float(finals.min()),
                     mean=float(finals.mean()),

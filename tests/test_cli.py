@@ -264,6 +264,18 @@ def test_cover_seed_override(tmp_path):
     assert (out / "curve_aaso_7.csv").exists()
 
 
+@pytest.mark.parametrize("seeds,message", [
+    ("-1..0", "seeds must be non-negative, got -1"),
+    ("3,3", "seeds lists 3 more than once"),
+])
+def test_cover_seed_override_is_checked_before_any_run(tmp_path, capsys, seeds, message):
+    config = write_config(tmp_path, TINY_COVER)
+    out = tmp_path / "out"
+    assert main(["cover", "run", "--config", config, f"--seeds={seeds}", "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cover_deployment_import(tmp_path):
     # an explicit deployment fixes the sensors for every seed
     from armyant.coverage import CoverageField, write_deployment, random_deployment

@@ -135,6 +135,24 @@ def test_non_finite_values_rejected_at_parse_with_path(tmp_path, key, message, v
         parse_config(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("kind = cover\nseeds = -1..0\n", "seeds must be non-negative, got -1"),
+    ("kind = cover\nseeds = 4,-2\n", "seeds must be non-negative, got -2"),
+    ("kind = bench\nbase_seed = -1\n", "base_seed must be non-negative, got -1"),
+    ("kind = cover\nseeds = 3,3\n", "seeds lists 3 more than once"),
+    ("kind = cover\nalgorithms = vfa,vfa\n", "algorithms lists 'vfa' more than once"),
+    ("kind = bench\nfunctions = sphere,ackley,sphere\n",
+     "functions lists 'sphere' more than once"),
+], ids=["negative_seed_range", "negative_seed_list", "negative_base_seed", "repeated_seed",
+        "repeated_algorithm", "repeated_function"])
+def test_seed_and_list_values_rejected_at_parse_with_path(tmp_path, text, message):
+    # a negative seed failed only when its run started; a repeated entry ran,
+    # wrote and summarized the same runs twice
+    path = write(tmp_path, text)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
+        parse_config(path)
+
+
 def test_analyze_kind_rejected_at_parse_with_path(tmp_path):
     # only cover and bench read a config; armyant analyze takes flags
     path = write(tmp_path, "kind = analyze\n")

@@ -1,10 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import armyant
 from armyant.coverage import (
     TWO_PI,
     CoverageEvaluator,
@@ -507,9 +512,7 @@ HALF_ANGLES = st.one_of(
 
 
 def interval_test(theta, lo, hi):
-    shape = np.broadcast(theta, lo).shape
-    return _in_interval(theta, lo, hi, lo <= hi, np.empty(shape, dtype=bool),
-                        np.empty(shape, dtype=bool)).copy()
+    return _in_interval(theta, lo, hi, lo <= hi)
 
 
 def before(theta):
@@ -623,7 +626,7 @@ def test_covered_mask_matches_reduction_at_interval_bounds():
         assert np.array_equal(ev.covered_mask(angles), expected)
 
 
-# --- evaluator results do not alias its scratch buffers ----------------------------------
+# --- evaluator results are fresh and the evaluator is read-only -------------------------
 
 def test_covered_mask_result_survives_later_calls():
     field = CoverageField(100, 100, 5)
@@ -643,6 +646,51 @@ def test_covered_mask_result_survives_later_calls():
     kept = result.covered.copy()
     coverage(with_deviations(sensors, np.full(6, PI)), field)
     assert np.array_equal(result.covered, kept)
+
+
+THREADED_EVALUATIONS = """
+import math, sys, threading
+import numpy as np
+from armyant.coverage import CoverageEvaluator, CoverageField, random_deployment
+from armyant.rng import RandomSource
+
+field = CoverageField(500.0, 500.0, 5.0)
+sensors = random_deployment(field, 110, 60.0, math.pi / 2, RandomSource(1))
+ev = CoverageEvaluator(sensors, field)
+angles = np.random.default_rng(0).uniform(0.0, 2 * math.pi, (100, 110))
+masks = [ev.covered_mask(a) for a in angles]
+subsets = [ev.sensed_subset(k % 110, a[k % 110]) for k, a in enumerate(angles)]
+mismatches = []
+
+def work():
+    for k, a in enumerate(angles):
+        if not np.array_equal(ev.covered_mask(a), masks[k]):
+            mismatches.append(("mask", k))
+        if not np.array_equal(ev.sensed_subset(k % 110, a[k % 110]), subsets[k]):
+            mismatches.append(("subset", k))
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(len(mismatches), sum(t.is_alive() for t in threads))
+"""
+
+
+def test_one_evaluator_shared_by_threads_matches_serial_results():
+    # in a child process, so that a corrupted heap fails this test instead of
+    # aborting the test run
+    env = dict(os.environ)
+    src = str(Path(armyant.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", THREADED_EVALUATIONS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    mismatches, alive = map(int, done.stdout.split())
+    assert alive == 0
+    assert mismatches == 0
 
 
 def test_covered_mask_needs_one_angle_per_sensor():

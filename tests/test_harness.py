@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from armyant import optimizer
 from armyant.harness import compare, write_statistics_csv, write_trace_csv
 from armyant.optimizer import OptimizerConfig
 
@@ -12,6 +13,26 @@ def test_compare_validation():
         compare(["aaso"], ["sphere"], 1, 0, OptimizerConfig(), 2)
     with pytest.raises(ValueError):
         compare(["simulated_annealing"], ["sphere"], 2, 0, OptimizerConfig(), 2)
+
+
+def test_compare_checks_every_name_before_the_first_run(monkeypatch):
+    calls = []
+    real_run = optimizer.run
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "run", spy)
+    for algorithms, functions, message in (
+        (["aaso", "annealing"], ["sphere", "rastrigin"], "unknown algorithm 'annealing'"),
+        (["aaso"], ["sphere", "nosuch"], "unknown benchmark function 'nosuch'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            compare(algorithms, functions, 5, 1, OptimizerConfig(30, 300), 30)
+    assert calls == []
+    compare(["aaso"], ["sphere"], 2, 1, OptimizerConfig(4, 1), 2)
+    assert len(calls) == 2  # the spy sees every run
 
 
 def test_identical_algorithm_entries_identical_statistics():
