@@ -22,7 +22,6 @@ from .coverage import (
 )
 from .enhance import enhance_aaso, enhance_pso, enhance_vfa
 from .harness import compare, write_atomic, write_statistics_csv, write_trace_csv
-from .optimizer import OptimizerConfig
 from .rng import RandomSource
 from .svgplot import render_deployment_svg
 
@@ -41,17 +40,6 @@ def _write_curve_csv(curve, path):
             writer.writerow([i, repr(float(v))])
 
 
-def _optimizer_config(spec):
-    """The run parameters of every search of the experiment ``spec``."""
-    return OptimizerConfig(
-        population=spec.population,
-        max_iters=spec.iterations,
-        recruit_init=spec.recruit_init,
-        attack_coeff=spec.attack_coeff,
-        stagnation_threshold=spec.stagnation,
-    )
-
-
 def _enhance(algorithm, sensors, field, config, seed):
     if algorithm == "vfa":
         return enhance_vfa(sensors, field, config.max_iters)
@@ -68,10 +56,9 @@ def run_cover(spec):
     out = spec.output_dir
     field = CoverageField(spec.area_length_m, spec.area_width_m, spec.grid_interval_m)
     alpha = math.radians(spec.view_angle_deg)
-    config = _optimizer_config(spec)
+    config = spec.optimizer_config()
 
     results = []
-    finals = {a: [] for a in spec.algorithms}
     failures = []
     for seed in spec.seeds:
         try:
@@ -107,7 +94,6 @@ def run_cover(spec):
                         "iterations": spec.iterations,
                     }
                 )
-                finals[algorithm].append(run.final_rate)
             except (ValueError, OSError) as exc:
                 failures.append((seed, algorithm, str(exc)))
 
@@ -119,7 +105,7 @@ def run_cover(spec):
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "runs", "mean_final", "std_final"])
         for algorithm in spec.algorithms:
-            values = np.array(finals[algorithm])
+            values = np.array([r["final_rate"] for r in results if r["algorithm"] == algorithm])
             if values.size:
                 std = float(values.std(ddof=1)) if values.size > 1 else 0.0
                 writer.writerow(
@@ -142,7 +128,7 @@ def run_bench(spec):
     out = spec.output_dir
     stats = compare(
         spec.algorithms, spec.functions, spec.runs, spec.base_seed,
-        _optimizer_config(spec), spec.dimension,
+        spec.optimizer_config(), spec.dimension,
     )
     write_statistics_csv(stats, os.path.join(out, "statistics.csv"))
     for s in stats:
@@ -179,6 +165,13 @@ def _parse_area(text):
     return float(parts[0]), float(parts[1])
 
 
+def _parse_seeds(text):
+    try:
+        return parse_seed_list(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="armyant",
@@ -191,7 +184,9 @@ def build_parser():
     cover_sub = cover.add_subparsers(dest="action", required=True)
     cover_run = cover_sub.add_parser("run", help="run a coverage experiment from a config file")
     cover_run.add_argument("--config", required=True, help="key = value config file")
-    cover_run.add_argument("--seeds", help="override config seeds, e.g. 1..10 or 3,7")
+    cover_run.add_argument(
+        "--seeds", type=_parse_seeds, help="override config seeds, e.g. 1..10 or 3,7"
+    )
     cover_run.add_argument("--out", help="override output directory")
 
     bench = sub.add_parser("bench", help="benchmark function comparisons")
@@ -217,25 +212,17 @@ def main(argv=None):
             print(analyze_report(length, width, args.nodes, args.radius, args.fov, args.target))
             return 0
         spec = parse_config(args.config)
-        if args.command == "cover":
-            if spec.kind != "cover":
-                raise ValueError(f"config kind is {spec.kind!r}, expected 'cover'")
-            if args.seeds:
-                spec.seeds = parse_seed_list(args.seeds)
-                spec.validate()
-            if args.out:
-                spec.output_dir = args.out
-            return run_cover(spec)
-        if args.command == "bench":
-            if spec.kind != "bench":
-                raise ValueError(f"config kind is {spec.kind!r}, expected 'bench'")
-            if args.out:
-                spec.output_dir = args.out
-            return run_bench(spec)
+        if spec.kind != args.command:
+            raise ValueError(f"config kind is {spec.kind!r}, expected {args.command!r}")
+        if getattr(args, "seeds", None):
+            spec.seeds = args.seeds
+            spec.validate()
+        if args.out:
+            spec.output_dir = args.out
+        return run_cover(spec) if args.command == "cover" else run_bench(spec)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 
 from .benchmarks import FUNCTION_NAMES
+from .optimizer import OptimizerConfig
 
 # the algorithms each experiment kind runs, also its default selection
 ALGORITHMS = {"cover": ("aaso", "vfa", "pso"), "bench": ("aaso", "pso", "random")}
@@ -50,16 +51,12 @@ class ExperimentSpec:
             raise ValueError("radius_m must be positive and finite")
         if not 0 < self.view_angle_deg <= 360:
             raise ValueError("view_angle_deg must lie in (0, 360]")
-        if self.population < 4:
-            raise ValueError("population must be at least 4")
+        # checked here, before the build, so that the error names the file's key
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if not 0 < self.attack_coeff < math.inf:
-            raise ValueError("attack_coeff must be positive and finite")
-        if self.recruit_init is not None and not 0 < self.recruit_init <= self.population:
-            raise ValueError("recruit_init must lie in (0, population]")
         if self.stagnation < 1:
             raise ValueError("stagnation must be at least 1")
+        self.optimizer_config()
         if not self.seeds:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
@@ -88,6 +85,16 @@ class ExperimentSpec:
                 raise ValueError("runs must be at least 2")
         return self
 
+    def optimizer_config(self):
+        """The run parameters of every search of this experiment."""
+        return OptimizerConfig(
+            population=self.population,
+            max_iters=self.iterations,
+            recruit_init=self.recruit_init,
+            attack_coeff=self.attack_coeff,
+            stagnation_threshold=self.stagnation,
+        )
+
 
 def _check_distinct(key, values):
     # a repeated entry would run, write and summarize the same runs twice
@@ -112,37 +119,41 @@ def _parse_list(text):
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+# each key's parser and the kind that reads it (None: both kinds)
 _PARSERS = {
-    "kind": str,
-    "area_length_m": float,
-    "area_width_m": float,
-    "grid_interval_m": float,
-    "node_count": int,
-    "deployment_path": str,
-    "radius_m": float,
-    "view_angle_deg": float,
-    "algorithms": _parse_list,
-    "population": int,
-    "iterations": int,
-    "recruit_init": float,
-    "attack_coeff": float,
-    "stagnation": int,
-    "seeds": parse_seed_list,
-    "output_dir": str,
-    "functions": _parse_list,
-    "dimension": int,
-    "runs": int,
-    "base_seed": int,
+    "kind": (str, None),
+    "area_length_m": (float, "cover"),
+    "area_width_m": (float, "cover"),
+    "grid_interval_m": (float, "cover"),
+    "node_count": (int, "cover"),
+    "deployment_path": (str, "cover"),
+    "radius_m": (float, "cover"),
+    "view_angle_deg": (float, "cover"),
+    "algorithms": (_parse_list, None),
+    "population": (int, None),
+    "iterations": (int, None),
+    "recruit_init": (float, None),
+    "attack_coeff": (float, None),
+    "stagnation": (int, None),
+    "seeds": (parse_seed_list, "cover"),
+    "output_dir": (str, None),
+    "functions": (_parse_list, "bench"),
+    "dimension": (int, "bench"),
+    "runs": (int, "bench"),
+    "base_seed": (int, "bench"),
 }
 
 
 def parse_config(path):
-    """Parse and validate a config file; missing keys take the defaults."""
-    values = {}
+    """Parse and validate a config file; missing keys take the defaults.
+
+    ``#`` starts a comment anywhere on a line.
+    """
+    values, linenos = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.partition("#")[0].strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
@@ -154,9 +165,14 @@ def parse_config(path):
             if key in values:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                values[key] = _PARSERS[key](raw_value)
+                values[key] = _PARSERS[key][0](raw_value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+            linenos[key] = lineno
+    kind = values.get("kind", ExperimentSpec.kind)
+    for key, lineno in linenos.items():
+        if kind in ALGORITHMS and _PARSERS[key][1] not in (None, kind):
+            raise ValueError(f"{path}:{lineno}: key {key!r} is not read by kind {kind!r}")
     try:
         return ExperimentSpec(**values).validate()
     except ValueError as exc:

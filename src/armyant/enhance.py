@@ -94,6 +94,16 @@ def _wrap_signed(angle):
     return out
 
 
+def _pull(angles, theta):
+    """Signed turn in (-pi, pi] from ``theta`` toward the mean direction of
+    ``angles``; 0.0 when their unit vectors sum to zero (or there are none)."""
+    x = float(np.sum(np.cos(angles)))
+    y = float(np.sum(np.sin(angles)))
+    if x == 0.0 and y == 0.0:
+        return 0.0
+    return _wrap_signed(math.atan2(y, x) - theta)
+
+
 def enhance_vfa(sensors, field, max_iters):
     """Virtual-force rotation baseline, deterministic, over ``max_iters`` iterations.
 
@@ -124,14 +134,17 @@ def enhance_vfa(sensors, field, max_iters):
         neighbor_lists.append(np.flatnonzero((d <= reach) & (np.arange(n) != i)))
 
     counts = np.zeros(field.grid_count, dtype=np.int32)
-    sensed_cache = []
-    evaluations = 0
+    sensed = [np.empty(0, dtype=np.intp)] * n
+
+    def sense(i):
+        # move sensor i's grids in ``counts`` to those it senses at thetas[i]
+        counts[sensed[i]] -= 1
+        sensed[i] = evaluator.per_sensor[i][0][evaluator.sensed_subset(i, thetas[i])]
+        counts[sensed[i]] += 1
+
     for i in range(n):
-        idx = evaluator.per_sensor[i][0]
-        sensed = idx[evaluator.sensed_subset(i, thetas[i])]
-        counts[sensed] += 1
-        sensed_cache.append(sensed)
-        evaluations += 1
+        sense(i)
+    evaluations = n
 
     initial_rate = np.count_nonzero(counts) / field.grid_count
     best_rate = initial_rate
@@ -141,31 +154,13 @@ def enhance_vfa(sensors, field, max_iters):
     for _ in range(max_iters):
         for i in range(n):
             idx, bearing, zero = evaluator.per_sensor[i]
-            torque = 0.0
-            uncovered = (counts[idx] == 0) & ~zero
-            if np.any(uncovered):
-                vx = float(np.sum(np.cos(bearing[uncovered])))
-                vy = float(np.sum(np.sin(bearing[uncovered])))
-                if vx != 0.0 or vy != 0.0:
-                    torque += _wrap_signed(math.atan2(vy, vx) - thetas[i])
-            nbrs = neighbor_lists[i]
-            if nbrs.size:
-                mx = float(np.sum(np.cos(thetas[nbrs])))
-                my = float(np.sum(np.sin(thetas[nbrs])))
-                if mx != 0.0 or my != 0.0:
-                    torque -= REPULSION_WEIGHT * _wrap_signed(
-                        math.atan2(my, mx) - thetas[i]
-                    )
+            attraction = _pull(bearing[(counts[idx] == 0) & ~zero], thetas[i])
+            torque = attraction - REPULSION_WEIGHT * _pull(thetas[neighbor_lists[i]], thetas[i])
             if torque == 0.0:
                 continue
             step = ROTATION_STEP if torque > 0.0 else -ROTATION_STEP
             thetas[i] = (thetas[i] + step) % TWO_PI
-
-            old = sensed_cache[i]
-            counts[old] -= 1
-            new = idx[evaluator.sensed_subset(i, thetas[i])]
-            counts[new] += 1
-            sensed_cache[i] = new
+            sense(i)
             evaluations += 1
 
         rate = np.count_nonzero(counts) / field.grid_count

@@ -276,6 +276,22 @@ def test_cover_seed_override_is_checked_before_any_run(tmp_path, capsys, seeds, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds,message", [
+    ("1,a", "invalid literal for int() with base 10: 'a'"),
+    ("5..2", "empty seed range '5..2'"),
+    ("1..", "invalid literal for int() with base 10: ''"),
+], ids=["not_a_number", "empty_range", "open_range"])
+def test_cover_malformed_seed_override_names_the_option(tmp_path, capsys, seeds, message):
+    # the error named neither --seeds nor its value, unlike a bad value in the file
+    config = write_config(tmp_path, TINY_COVER)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", "run", "--config", config, "--seeds", seeds, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --seeds: bad value {seeds!r}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cover_deployment_import(tmp_path):
     # an explicit deployment fixes the sensors for every seed
     from armyant.coverage import CoverageField, write_deployment, random_deployment
@@ -297,6 +313,14 @@ def test_cover_kind_mismatch(tmp_path, capsys):
     config = write_config(tmp_path, TINY_BENCH)
     assert main(["cover", "run", "--config", config]) == 2
     assert "expected 'cover'" in capsys.readouterr().err
+
+
+def test_bench_kind_mismatch(tmp_path, capsys):
+    config = write_config(tmp_path, TINY_COVER)
+    out = tmp_path / "out"
+    assert main(["bench", "run", "--config", config, "--out", str(out)]) == 2
+    assert "config kind is 'cover', expected 'bench'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cover_partial_failure_lists_seeds_and_returns_nonzero(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import importlib.util
 import re
 from pathlib import Path
 
@@ -34,6 +35,34 @@ area_width_m = 500
 def test_unknown_key_reports_line_number(tmp_path):
     path = write(tmp_path, "kind = cover\nwidgets = 7\n")
     with pytest.raises(ValueError, match=r":2: unknown key 'widgets'"):
+        parse_config(path)
+
+
+def test_inline_comments(tmp_path):
+    # only whole-line comments were stripped: the first key wrote into a
+    # directory named with its comment, the second was a bad value
+    spec = parse_config(write(tmp_path, """
+kind = cover  # the coverage experiment
+population = 20  # ants
+output_dir = runs/o  # results go here
+"""))
+    assert spec.population == 20
+    assert spec.output_dir == "runs/o"
+
+
+@pytest.mark.parametrize("text,line,key,kind", [
+    ("kind = bench\nseeds = 7,8\nradius_m = 5\n", 2, "seeds", "bench"),
+    ("radius_m = 5\nkind = bench\n", 1, "radius_m", "bench"),
+    ("kind = bench\ndeployment_path = d.csv\n", 2, "deployment_path", "bench"),
+    ("kind = cover\nruns = 3\n", 2, "runs", "cover"),
+    ("base_seed = 4\n", 1, "base_seed", "cover"),
+], ids=["bench_seeds", "bench_radius_before_kind", "bench_deployment", "cover_runs",
+        "default_kind_base_seed"])
+def test_key_the_kind_never_reads_rejected_with_line(tmp_path, text, line, key, kind):
+    # such a key was silently ignored: a bench config's seeds did not seed its runs
+    path = write(tmp_path, text)
+    message = f"{path}:{line}: key {key!r} is not read by kind {kind!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_config(path)
 
 
@@ -187,3 +216,16 @@ def test_example_configs_parse():
     )
     assert bench.algorithms == ALGORITHMS["bench"]
     assert len(bench.functions) == 6
+
+
+def test_generated_benchmark_configs_use_only_keys_their_kind_reads(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", EXAMPLES.parent / "perfbench" / "run.py"
+    )
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    for name in bench_run.WORKLOADS:
+        work = tmp_path / name
+        work.mkdir()
+        for inv in bench_run.write_configs(bench_run.workload_inputs(name, 1), work):
+            assert parse_config(inv["config"]).kind == bench_run.WORKLOADS[name]["command"]
