@@ -15,7 +15,7 @@ from .coverage import (
     required_nodes,
 )
 from .enhance import EnhancementRun, enhance_aaso, enhance_pso, enhance_vfa
-from .harness import RunStatistics, compare
+from .harness import RunStatistics, compare, compare_cover
 from .optimizer import OptimizerConfig, RunResult, rowwise, run
 from .rng import RandomSource
 from .space import SearchSpace
@@ -33,6 +33,7 @@ __all__ = [
     "SearchSpace",
     "Sensor",
     "compare",
+    "compare_cover",
     "coverage",
     "enhance_aaso",
     "enhance_pso",

@@ -20,9 +20,7 @@ from .coverage import (
     with_deviations,
     write_deployment,
 )
-from .enhance import enhance_aaso, enhance_pso, enhance_vfa
-from .harness import compare, write_atomic, write_statistics_csv, write_trace_csv
-from .rng import RandomSource
+from .harness import compare, compare_cover, write_atomic, write_statistics_csv, write_trace_csv
 from .svgplot import render_deployment_svg
 
 
@@ -40,13 +38,6 @@ def _write_curve_csv(curve, path):
             writer.writerow([i, repr(float(v))])
 
 
-def _enhance(algorithm, sensors, field, config, seed):
-    if algorithm == "vfa":
-        return enhance_vfa(sensors, field, config.max_iters)
-    enhance = enhance_aaso if algorithm == "aaso" else enhance_pso
-    return enhance(sensors, field, config, RandomSource(seed))
-
-
 def run_cover(spec):
     """Run every seed x algorithm and write curves, layouts and summaries.
 
@@ -56,25 +47,25 @@ def run_cover(spec):
     out = spec.output_dir
     field = CoverageField(spec.area_length_m, spec.area_width_m, spec.grid_interval_m)
     alpha = math.radians(spec.view_angle_deg)
-    config = spec.optimizer_config()
 
+    def deploy(rng):
+        if spec.deployment_path:
+            return read_deployment(spec.deployment_path)
+        return random_deployment(field, spec.node_count, spec.radius_m, alpha, rng)
+
+    deployments, failures = compare_cover(
+        deploy, field, spec.algorithms, spec.seeds, spec.optimizer_config()
+    )
     results = []
-    failures = []
-    for seed in spec.seeds:
+    for seed, (sensors, runs) in deployments.items():
         try:
-            if spec.deployment_path:
-                sensors = read_deployment(spec.deployment_path)
-            else:
-                sensors = random_deployment(
-                    field, spec.node_count, spec.radius_m, alpha, RandomSource(seed)
-                )
             render_deployment_svg(sensors, field, os.path.join(out, f"layout_initial_{seed}.svg"))
         except (ValueError, OSError) as exc:
-            failures.append((seed, "deploy", str(exc)))
+            # failed as a deployment: none of the seed's runs is written or reported
+            failures = [f for f in failures if f[0] != seed] + [(seed, "deploy", str(exc))]
             continue
-        for algorithm in spec.algorithms:
+        for algorithm, run in runs.items():
             try:
-                run = _enhance(algorithm, sensors, field, config, seed)
                 _write_curve_csv(run.curve, os.path.join(out, f"curve_{algorithm}_{seed}.csv"))
                 final_sensors = with_deviations(sensors, run.best_angles)
                 render_deployment_svg(
@@ -116,6 +107,8 @@ def run_cover(spec):
     write_atomic(os.path.join(out, "summary.csv"), write_summary, newline="")
 
     if failures:
+        stages = ["deploy", *spec.algorithms]
+        failures.sort(key=lambda f: (spec.seeds.index(f[0]), stages.index(f[1])))
         for seed, stage, message in failures:
             print(f"FAILED seed {seed} ({stage}): {message}", file=sys.stderr)
         return 1

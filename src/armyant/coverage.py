@@ -174,15 +174,14 @@ def _in_sector(dist, bearing, theta, half_angle):
     return (dist == 0.0) | (diff <= half_angle) | (diff >= TWO_PI - half_angle)
 
 
-def _reduce_angle(diff, spare):
+def _reduce_angle(diff):
     """In place, ``diff = np.mod(diff, TWO_PI)`` for ``diff = bearing - theta``.
 
     Two conditional ``+2*pi`` adds, exact under the precondition of the
-    module docstring; ``spare`` is a bool buffer of the same shape.
+    module docstring.
     """
     for _ in range(2):
-        np.less(diff, 0.0, out=spare)
-        np.add(diff, TWO_PI, out=diff, where=spare)
+        np.add(diff, TWO_PI, out=diff, where=diff < 0.0)
     return diff
 
 
@@ -205,7 +204,7 @@ def _sensed(bearing, half, upper, theta):
     intervals are read off this test.
     """
     diff = bearing - theta
-    _reduce_angle(diff, np.empty(diff.shape, dtype=bool))
+    _reduce_angle(diff)
     return (diff <= half) | (diff >= upper)
 
 
@@ -310,7 +309,7 @@ def _bisect_intervals(bearing, half, upper):
     def prefix(k):
         diff = bearing - k.view(np.float64)
         branch = (diff < 0.0).astype(np.intp) + (diff < -TWO_PI)
-        _reduce_angle(diff, np.empty(diff.shape, dtype=bool))
+        _reduce_angle(diff)
         beyond = np.where(upper_row, diff >= upper, diff > half)
         return (branch < branch_of_row) | ((branch == branch_of_row) & beyond)
 

@@ -15,7 +15,6 @@ convergence).
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ class EnhancementRun:
     best_angles: np.ndarray  # one per sensor, in [0, 2*pi)
     curve: np.ndarray
     evaluations: int
-    elapsed: float
 
 
 def _rates_from_history(history, grid_count):
@@ -55,7 +53,6 @@ def _search_angles(sensors, field, search, config, rng):
     ``search`` is ``optimizer.run`` or ``pso_run``; the as-deployed angles
     are its one seed position.
     """
-    start = time.perf_counter()
     sensors = list(sensors)
     if not sensors:
         raise ValueError("need at least one sensor")
@@ -70,7 +67,6 @@ def _search_angles(sensors, field, search, config, rng):
         best_angles=canonicalize_angle(result.best_position),
         curve=_rates_from_history(result.history, field.grid_count),
         evaluations=result.evaluations,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -116,7 +112,6 @@ def enhance_vfa(sensors, field, max_iters):
     so only the rotated sensor's candidate grids are re-tested.
     ``evaluations`` counts per-sensor sector recomputations.
     """
-    start = time.perf_counter()
     sensors = list(sensors)
     if not sensors:
         raise ValueError("need at least one sensor")
@@ -175,5 +170,4 @@ def enhance_vfa(sensors, field, max_iters):
         best_angles=canonicalize_angle(best_angles),
         curve=np.array(curve),
         evaluations=evaluations,
-        elapsed=time.perf_counter() - start,
     )

@@ -13,6 +13,7 @@ import numpy as np
 from . import baselines, optimizer
 from .benchmarks import get_benchmark
 from .config import ALGORITHMS
+from .enhance import enhance_aaso, enhance_pso, enhance_vfa
 from .rng import RandomSource
 
 
@@ -44,10 +45,7 @@ def compare(algorithms, functions, runs, base_seed, config, dim):
     """
     if runs < 2:
         raise ValueError("need at least 2 runs for statistics")
-    # every name is checked before the first run
-    for name in algorithms:
-        if name not in ALGORITHMS["bench"]:
-            raise ValueError(f"unknown algorithm {name!r}")
+    _check_algorithms(algorithms, "bench")
     funcs = [get_benchmark(fname, dim) for fname in functions]
     results = []
     for name in algorithms:
@@ -74,6 +72,46 @@ def compare(algorithms, functions, runs, base_seed, config, dim):
                 )
             )
     return results
+
+
+def compare_cover(deploy, field, algorithms, seeds, config):
+    """Enhance one deployment per seed with every algorithm.
+
+    Seed ``s`` deploys ``deploy(RandomSource(s))``, and each AASO or PSO run
+    draws from a fresh ``RandomSource(s)``: the deployment and the searches
+    share seed ``s``'s stream. VFA runs ``config.max_iters`` iterations.
+    Returns ``{seed: (sensors, {algorithm: EnhancementRun})}`` in seed order
+    and the ``(seed, "deploy" or algorithm, message)`` of every
+    ``ValueError`` or ``OSError``. Other exceptions propagate.
+    """
+    _check_algorithms(algorithms, "cover")
+    deployments, failures = {}, []
+    for seed in seeds:
+        try:
+            sensors = deploy(RandomSource(seed))
+        except (ValueError, OSError) as exc:
+            failures.append((seed, "deploy", str(exc)))
+            continue
+        runs = {}
+        for name in algorithms:
+            try:
+                # module globals, looked up per call, as in ``compare``
+                if name == "vfa":
+                    runs[name] = enhance_vfa(sensors, field, config.max_iters)
+                else:
+                    enhance = enhance_aaso if name == "aaso" else enhance_pso
+                    runs[name] = enhance(sensors, field, config, RandomSource(seed))
+            except (ValueError, OSError) as exc:
+                failures.append((seed, name, str(exc)))
+        deployments[seed] = sensors, runs
+    return deployments, failures
+
+
+def _check_algorithms(algorithms, kind):
+    # every name is checked before the first run
+    for name in algorithms:
+        if name not in ALGORITHMS[kind]:
+            raise ValueError(f"unknown algorithm {name!r}")
 
 
 def write_atomic(path, write, newline=None):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import armyant.cli
+import armyant.harness
 from armyant.benchmarks import get_benchmark
 from armyant.cli import analyze_report, main
 from armyant.harness import compare, write_atomic, write_statistics_csv
@@ -347,11 +348,82 @@ def test_cover_non_finite_deployment_fails_its_seeds(tmp_path, capsys):
     assert json.loads((out / "results.json").read_text(), parse_constant=float) == []
 
 
+def test_cover_write_failure_fails_only_its_run(tmp_path, capsys, monkeypatch):
+    real_write = armyant.cli.write_deployment
+
+    def write_deployment(sensors, path):
+        if Path(path).name == "deployment_final_pso_2.csv":
+            raise OSError("disk full")
+        real_write(sensors, path)
+
+    config = write_config(tmp_path, TINY_COVER)
+    full = tmp_path / "full"
+    assert main(["cover", "run", "--config", config, "--out", str(full)]) == 0
+    monkeypatch.setattr(armyant.cli, "write_deployment", write_deployment)
+    out = tmp_path / "out"
+    assert main(["cover", "run", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "FAILED seed 2 (pso): disk full\n"
+    # the run's curve and final layout were written before its deployment
+    written, expected = tree_digest(out), tree_digest(full)
+    del expected["deployment_final_pso_2.csv"]
+    assert set(written) == set(expected)
+    assert {k: v for k, v in written.items() if not k.startswith(("results", "summary"))} == {
+        k: v for k, v in expected.items() if not k.startswith(("results", "summary"))
+    }
+    records = json.loads((full / "results.json").read_text())
+    assert json.loads((out / "results.json").read_text()) == [
+        r for r in records if (r["seed"], r["algorithm"]) != (2, "pso")
+    ]
+
+
+def test_cover_failures_are_listed_in_seed_then_algorithm_order(tmp_path, capsys, monkeypatch):
+    # a write failure of seed 1 comes before the failed deployment of seed 2,
+    # and a failed initial layout fails seed 3 as a deployment does
+    from armyant.coverage import CoverageField, random_deployment
+    from armyant.rng import RandomSource
+
+    sensors = random_deployment(CoverageField(100, 100, 5), 4, 30.0, PI / 2, RandomSource(55))
+    reads = []
+
+    def read_deployment(path):
+        reads.append(path)
+        if len(reads) == 2:
+            raise ValueError("unreadable")
+        return sensors
+
+    real_svg = armyant.cli.render_deployment_svg
+
+    def render(sensors, field, path):
+        if Path(path).name in ("layout_final_vfa_1.svg", "layout_initial_3.svg"):
+            raise OSError("disk full")
+        real_svg(sensors, field, path)
+
+    monkeypatch.setattr(armyant.cli, "read_deployment", read_deployment)
+    monkeypatch.setattr(armyant.cli, "render_deployment_svg", render)
+    config = write_config(tmp_path, TINY_COVER + "deployment_path = fixed.csv\n")
+    out = tmp_path / "out"
+    assert main(["cover", "run", "--config", config, "--seeds", "1..3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "FAILED seed 1 (vfa): disk full\n"
+        "FAILED seed 2 (deploy): unreadable\n"
+        "FAILED seed 3 (deploy): disk full\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == sorted([
+        "curve_aaso_1.csv", "curve_pso_1.csv", "curve_vfa_1.csv",
+        "deployment_final_aaso_1.csv", "deployment_final_pso_1.csv",
+        "layout_final_aaso_1.svg", "layout_final_pso_1.svg", "layout_initial_1.svg",
+        "results.json", "summary.csv",
+    ])
+    assert [(r["seed"], r["algorithm"]) for r in json.loads((out / "results.json").read_text())] == [
+        (1, "aaso"), (1, "pso")
+    ]
+
+
 def test_cover_programming_error_propagates(tmp_path, monkeypatch):
     def broken_enhancer(*args, **kwargs):
         raise TypeError("enhancer called wrongly")
 
-    monkeypatch.setattr(armyant.cli, "enhance_vfa", broken_enhancer)
+    monkeypatch.setattr(armyant.harness, "enhance_vfa", broken_enhancer)
     config = write_config(tmp_path, TINY_COVER)
     with pytest.raises(TypeError, match="enhancer called wrongly"):
         main(["cover", "run", "--config", config, "--out", str(tmp_path / "out")])

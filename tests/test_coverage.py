@@ -424,7 +424,7 @@ def reduce_bits(bearing, theta):
     """Bits of the evaluator's reduction and of np.mod for bearing - theta."""
     diff = np.asarray(bearing, dtype=float) - np.asarray(theta, dtype=float)
     ref = np.mod(diff, TWO_PI)
-    got = _reduce_angle(diff.copy(), np.empty(diff.shape, dtype=bool))
+    got = _reduce_angle(diff.copy())
     # the one documented difference: a zero keeps its sign; + 0.0 folds -0.0 into +0.0
     return (got + 0.0).view(np.uint64), ref.view(np.uint64)
 
@@ -461,7 +461,7 @@ def test_reduction_around_minus_two_pi(theta, target):
 
 def test_reduction_keeps_sign_of_negative_zero():
     diff = np.array([-0.0 - 0.0])
-    _reduce_angle(diff, np.empty(1, dtype=bool))
+    _reduce_angle(diff)
     assert math.copysign(1.0, diff[0]) == -1.0
     assert np.mod(-0.0 - 0.0, TWO_PI) == diff[0] == 0.0  # same value: <= and >= agree
 

@@ -73,7 +73,6 @@ def test_enhancement_run_contract(name, runner):
     assert final.rate == run.final_rate
     # node positions never change and inputs are not mutated
     assert [(s.x, s.y, s.deviation) for s in sensors] == before
-    assert run.elapsed >= 0.0
 
 
 @pytest.mark.parametrize("runner", [

@@ -3,9 +3,20 @@ import csv
 import numpy as np
 import pytest
 
+import armyant.harness
 from armyant import optimizer
-from armyant.harness import compare, write_statistics_csv, write_trace_csv
+from armyant.coverage import CoverageField, random_deployment
+from armyant.enhance import enhance_aaso, enhance_pso, enhance_vfa
+from armyant.harness import compare, compare_cover, write_statistics_csv, write_trace_csv
 from armyant.optimizer import OptimizerConfig
+from armyant.rng import RandomSource
+
+FIELD = CoverageField(60, 60, 5)
+COVER_CONFIG = OptimizerConfig(population=6, max_iters=4)
+
+
+def deploy(rng):
+    return random_deployment(FIELD, 4, 20.0, np.pi / 2, rng)
 
 
 def test_compare_validation():
@@ -105,3 +116,63 @@ def test_csv_writers(tmp_path):
     assert rows[0] == ["iter", "best_fitness"]
     values = np.array([float(r[1]) for r in rows[1:]])
     assert np.array_equal(values, stats[0].histories[0])
+
+
+def test_compare_cover_runs_equal_direct_enhancer_calls():
+    deployments, failures = compare_cover(deploy, FIELD, ["aaso", "pso", "vfa"], [3, 1], COVER_CONFIG)
+    assert failures == []
+    assert list(deployments) == [3, 1]
+    for seed, (sensors, runs) in deployments.items():
+        assert list(runs) == ["aaso", "pso", "vfa"]
+        # the deployment and each search draw from seed's own stream
+        assert [s.deviation for s in sensors] == [s.deviation for s in deploy(RandomSource(seed))]
+        direct = {
+            "aaso": enhance_aaso(sensors, FIELD, COVER_CONFIG, RandomSource(seed)),
+            "pso": enhance_pso(sensors, FIELD, COVER_CONFIG, RandomSource(seed)),
+            "vfa": enhance_vfa(sensors, FIELD, COVER_CONFIG.max_iters),
+        }
+        for name, run in runs.items():
+            assert run.curve.tobytes() == direct[name].curve.tobytes()
+            assert run.best_angles.tobytes() == direct[name].best_angles.tobytes()
+            assert run.evaluations == direct[name].evaluations
+
+
+def test_compare_cover_checks_every_name_before_the_first_deployment():
+    calls = []
+
+    def spy(rng):
+        calls.append(rng)
+        return deploy(rng)
+
+    for algorithms in (["aaso", "random"], ["annealing"]):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            compare_cover(spy, FIELD, algorithms, [1, 2], COVER_CONFIG)
+    assert calls == []
+
+
+def test_compare_cover_failed_deployment_skips_only_its_seed():
+    def deploy_all_but_2(rng):
+        sensors = deploy(rng)
+        if rng.seed == 2:
+            raise ValueError("no sensors for seed 2")
+        return sensors
+
+    deployments, failures = compare_cover(deploy_all_but_2, FIELD, ["vfa"], [1, 2, 3], COVER_CONFIG)
+    assert failures == [(2, "deploy", "no sensors for seed 2")]
+    assert list(deployments) == [1, 3]
+    assert all(list(runs) == ["vfa"] for _, runs in deployments.values())
+
+
+def test_compare_cover_failed_run_is_listed_and_others_kept():
+    deployments, failures = compare_cover(lambda rng: [], FIELD, ["pso", "vfa"], [4], COVER_CONFIG)
+    assert failures == [(4, "pso", "need at least one sensor"), (4, "vfa", "need at least one sensor")]
+    assert deployments == {4: ([], {})}
+
+
+def test_compare_cover_programming_error_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("enhancer called wrongly")
+
+    monkeypatch.setattr(armyant.harness, "enhance_pso", broken)
+    with pytest.raises(TypeError, match="enhancer called wrongly"):
+        compare_cover(deploy, FIELD, ["vfa", "pso"], [1], COVER_CONFIG)

@@ -71,7 +71,8 @@ def test_tracer_wraps_every_search_and_enhancer(tmp_path):
         "optimizer.run", "baselines.pso_run", "baselines.random_search_run",
         "enhance.enhance_aaso", "enhance.enhance_pso", "enhance.enhance_vfa",
         "harness.compare", "cli.write.write_statistics_csv", "cli.write.write_trace_csv",
-        "cli.write._write_curve_csv",
+        "cli.write._write_curve_csv", "cli.write.write_deployment", "svgplot.render",
+        "config.parse_config", "coverage.build",
     ):
         assert name in result["spans"]
     assert result["layers"]["optimizer.evals"] > 0
