@@ -1,6 +1,7 @@
 """Command-line front end: coverage experiments, benchmarks, deployment math."""
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -65,15 +66,14 @@ def run_cover(spec):
             failures = [f for f in failures if f[0] != seed] + [(seed, "deploy", str(exc))]
             continue
         for algorithm, run in runs.items():
+            curve_path = os.path.join(out, f"curve_{algorithm}_{seed}.csv")
+            layout_path = os.path.join(out, f"layout_final_{algorithm}_{seed}.svg")
+            deployment_path = os.path.join(out, f"deployment_final_{algorithm}_{seed}.csv")
             try:
-                _write_curve_csv(run.curve, os.path.join(out, f"curve_{algorithm}_{seed}.csv"))
+                _write_curve_csv(run.curve, curve_path)
                 final_sensors = with_deviations(sensors, run.best_angles)
-                render_deployment_svg(
-                    final_sensors, field, os.path.join(out, f"layout_final_{algorithm}_{seed}.svg")
-                )
-                write_deployment(
-                    final_sensors, os.path.join(out, f"deployment_final_{algorithm}_{seed}.csv")
-                )
+                render_deployment_svg(final_sensors, field, layout_path)
+                write_deployment(final_sensors, deployment_path)
                 results.append(
                     {
                         "algorithm": algorithm,
@@ -87,6 +87,11 @@ def run_cover(spec):
                 )
             except (ValueError, OSError) as exc:
                 failures.append((seed, algorithm, str(exc)))
+                # a failed run leaves none of its files; if one cannot be
+                # removed, the run is still reported as failed
+                for path in (curve_path, layout_path, deployment_path):
+                    with contextlib.suppress(OSError):
+                        os.remove(path)
 
     def write_results(fh):
         json.dump(results, fh, indent=2, sort_keys=True)

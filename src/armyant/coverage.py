@@ -95,6 +95,17 @@ def canonicalize_angle(angle):
     return np.where(out >= TWO_PI, 0.0, out)
 
 
+def canonicalize_scalar(angle):
+    """``float(canonicalize_angle(angle))`` in plain Python, to the bit.
+
+    CPython's float ``%`` and NumPy's ``np.mod`` both take ``fmod`` and add
+    the divisor when the signs differ, and both return +0.0 for a zero
+    remainder, so ``-0.0`` becomes ``+0.0`` here too.
+    """
+    out = float(angle) % TWO_PI
+    return 0.0 if out >= TWO_PI else out
+
+
 @dataclass
 class Sensor:
     """Directional sensing node; angles in radians, lengths in meters."""
@@ -116,7 +127,7 @@ class Sensor:
             raise ValueError("sensing radius must be positive")
         if not 0.0 < self.view_angle <= TWO_PI:
             raise ValueError("view angle must lie in (0, 2*pi]")
-        self.deviation = float(canonicalize_angle(self.deviation))
+        self.deviation = canonicalize_scalar(self.deviation)
 
 
 @dataclass
@@ -415,7 +426,7 @@ class CoverageEvaluator:
 
     def sensed_subset(self, sensor_index, theta):
         """Mask over sensor_index's candidate grids sensed at angle theta."""
-        theta = float(canonicalize_angle(theta))
+        theta = canonicalize_scalar(theta)
         part = self._parts[sensor_index]
         return _in_interval(theta, self._lo[part], self._hi[part], self._in_order[part])
 

@@ -10,8 +10,10 @@ The angle box is clamped, not wrapped. Coverage is periodic in every
 angle, so a clamped box can represent every orientation, and the clamp is
 what stabilizes the optimizers' gap-scaled moves (the attack step is
 expansive in the mean square; wrapping re-randomizes oversized moves
-around the circle instead of absorbing them and measurably stalls
-convergence).
+around the circle instead of absorbing them). Wrapping measurably stalled
+convergence when positions were wrapped but gaps stayed linear. With
+shortest-arc gaps, neither a circular PSO nor a circular AASO prototype
+stalled (ROADMAP item 9).
 """
 
 import math
@@ -90,11 +92,15 @@ def _wrap_signed(angle):
     return out
 
 
-def _pull(angles, theta):
-    """Signed turn in (-pi, pi] from ``theta`` toward the mean direction of
-    ``angles``; 0.0 when their unit vectors sum to zero (or there are none)."""
-    x = float(np.sum(np.cos(angles)))
-    y = float(np.sum(np.sin(angles)))
+def _pull(cos, sin, theta):
+    """Signed turn in (-pi, pi] from ``theta`` toward the mean direction of the
+    unit vectors ``(cos, sin)``; 0.0 when they sum to zero (or there are none).
+
+    ``np.add.reduce`` is the pairwise sum that ``np.sum`` runs, without its
+    Python wrapper.
+    """
+    x = np.add.reduce(cos)
+    y = np.add.reduce(sin)
     if x == 0.0 and y == 0.0:
         return 0.0
     return _wrap_signed(math.atan2(y, x) - theta)
@@ -111,6 +117,14 @@ def enhance_vfa(sensors, field, max_iters):
     Sensors update sequentially with incremental per-grid coverage counts,
     so only the rotated sensor's candidate grids are re-tested.
     ``evaluations`` counts per-sensor sector recomputations.
+
+    Precomputed once per run: each sensor's neighbor list, and the cosines
+    and sines of the bearings of its candidate grids (grids at the sensor's
+    own position, which exert no pull, left out). The cosines and sines of
+    the sensors' deviations are kept in two arrays, and a sensor's entries
+    are updated when it rotates. ``np.cos`` and ``np.sin`` act element by
+    element, so selecting from these arrays gives the doubles that the
+    functions would give on the selected angles.
     """
     sensors = list(sensors)
     if not sensors:
@@ -119,7 +133,10 @@ def enhance_vfa(sensors, field, max_iters):
         raise ValueError("max_iters must be positive")
     evaluator = CoverageEvaluator(sensors, field)
     n = len(sensors)
-    thetas = np.array([s.deviation for s in sensors])
+    # Python floats: their ``%`` is np.mod's (see ``canonicalize_scalar``)
+    # and their scalar arithmetic is cheaper than NumPy's
+    thetas = [s.deviation for s in sensors]
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
 
     neighbor_lists = []
     positions = np.array([[s.x, s.y] for s in sensors])
@@ -127,6 +144,11 @@ def enhance_vfa(sensors, field, max_iters):
         d = np.hypot(positions[:, 0] - positions[i, 0], positions[:, 1] - positions[i, 1])
         reach = NEIGHBOR_RADIUS_FACTOR * sensors[i].radius
         neighbor_lists.append(np.flatnonzero((d <= reach) & (np.arange(n) != i)))
+
+    grid_pulls = []
+    for idx, bearing, zero in evaluator.per_sensor:
+        away = ~zero
+        grid_pulls.append((idx[away], np.cos(bearing[away]), np.sin(bearing[away])))
 
     counts = np.zeros(field.grid_count, dtype=np.int32)
     sensed = [np.empty(0, dtype=np.intp)] * n
@@ -143,25 +165,28 @@ def enhance_vfa(sensors, field, max_iters):
 
     initial_rate = np.count_nonzero(counts) / field.grid_count
     best_rate = initial_rate
-    best_angles = thetas.copy()
+    best_angles = np.array(thetas)
     curve = [best_rate]
 
     for _ in range(max_iters):
-        for i in range(n):
-            idx, bearing, zero = evaluator.per_sensor[i]
-            attraction = _pull(bearing[(counts[idx] == 0) & ~zero], thetas[i])
-            torque = attraction - REPULSION_WEIGHT * _pull(thetas[neighbor_lists[i]], thetas[i])
+        for i, ((idx, cos_b, sin_b), neighbors) in enumerate(zip(grid_pulls, neighbor_lists)):
+            theta = thetas[i]
+            uncovered = counts[idx] == 0
+            attraction = _pull(cos_b[uncovered], sin_b[uncovered], theta)
+            repulsion = _pull(cos_t[neighbors], sin_t[neighbors], theta)
+            torque = attraction - REPULSION_WEIGHT * repulsion
             if torque == 0.0:
                 continue
             step = ROTATION_STEP if torque > 0.0 else -ROTATION_STEP
-            thetas[i] = (thetas[i] + step) % TWO_PI
+            thetas[i] = theta = (theta + step) % TWO_PI
+            cos_t[i], sin_t[i] = np.cos(theta), np.sin(theta)
             sense(i)
             evaluations += 1
 
         rate = np.count_nonzero(counts) / field.grid_count
         if rate > best_rate:
             best_rate = rate
-            best_angles = thetas.copy()
+            best_angles = np.array(thetas)
         curve.append(best_rate)
 
     return EnhancementRun(

@@ -108,35 +108,42 @@ def avg_recruits(t, config):
     return config.recruit_init + (n - config.recruit_init) * t / config.max_iters
 
 
-def truncated_poisson_pmf(lam, n_max):
+def log_factorials(n_max):
+    """log(k!) for k = 0..n_max."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_max + 1)))))
+
+
+def truncated_poisson_pmf(lam, n_max, log_fact=None):
     """Poisson(lam) pmf truncated to {0..n_max} and renormalized.
 
     Computed in log space so lam near n_max ~ 100 cannot overflow the
-    factorial term.
+    factorial term. ``log_fact``, when given, is ``log_factorials(n_max)``.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     k = np.arange(n_max + 1)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_max + 1)))))
+    if log_fact is None:
+        log_fact = log_factorials(n_max)
     log_p = k * math.log(lam) - lam - log_fact
     p = np.exp(log_p - log_p.max())
     return p / p.sum()
 
 
-def recruit(n_prey, config, t, rng):
+def recruit(n_prey, config, t, rng, log_fact=None):
     """Recruit map for the ``n_prey`` active prey at iteration t.
 
     Each active prey independently draws its recruit count from the
     truncated Poisson wheel, then selects that many distinct ant indices
     uniformly from the whole population. An ant may serve several prey but
     appears at most once per prey. Counts for every prey are drawn first,
-    then their index selections, in prey order.
+    then their index selections, in prey order. ``log_fact``, when given,
+    is ``log_factorials(config.population)``.
     """
     n = config.population
-    pmf = truncated_poisson_pmf(avg_recruits(t, config), n)
+    pmf = truncated_poisson_pmf(avg_recruits(t, config), n, log_fact)
     counts = rng.roulette(pmf, size=n_prey).tolist()
     return [
-        np.sort(rng.choice_without_replacement(np.arange(n), k)) if k > 0 else np.empty(0, dtype=int)
+        np.sort(rng.choice_without_replacement(n, k)) if k > 0 else np.empty(0, dtype=int)
         for k in counts
     ]
 
@@ -156,19 +163,18 @@ def attack_target(scatters, counts):
 
     As in ``np.mean`` over one ant's rows, the rows are added to +0.0 one
     after another, in prey order, and the sum is divided by their count.
-    Ants with fewer rows add +0.0 in the missing slots, which changes no
-    sum: a sum that starts from +0.0 is never -0.0, and x + 0.0 == x for
-    every other x, to the bit.
+    Every ant's first row is added to +0.0 as ``row + 0.0``, which is
+    ``0.0 + row`` to the bit (IEEE addition commutes; both turn -0.0 into
+    +0.0). Slot m then adds row m of the ants that own more than m rows.
     """
     counts = np.asarray(counts)
     if np.any(counts < 1):
         raise ValueError("attack target needs at least one scatter position")
-    slot = np.arange(counts.max())
-    rows = np.where(slot < counts[:, None], (np.cumsum(counts) - counts)[:, None] + slot, len(scatters))
-    padded = np.concatenate((scatters, np.zeros((1, scatters.shape[1]))))[rows]
-    target = np.zeros((len(counts), scatters.shape[1]))
-    for m in slot:
-        target += padded[:, m]
+    first = np.cumsum(counts) - counts
+    target = scatters[first] + 0.0
+    for m in range(1, counts.max()):
+        owners = counts > m
+        target[owners] += scatters[first[owners] + m]
     return target / counts[:, None]
 
 
@@ -324,9 +330,12 @@ def run(objective, space, config, rng, observer=None, seed_positions=None):
     history = [prey_fitness[0]]
     stagnation = 0
     others = [np.delete(np.arange(n), i) for i in range(n)]  # a follower's companions
+    log_fact = log_factorials(n)
 
     for t in range(1, config.max_iters + 1):
-        recruit_map = recruit(min(prey_count(t, config.max_iters), len(prey)), config, t, rng)
+        recruit_map = recruit(
+            min(prey_count(t, config.max_iters), len(prey)), config, t, rng, log_fact
+        )
         member = np.zeros((n, len(recruit_map)), dtype=bool)
         for j, idx in enumerate(recruit_map):
             member[idx, j] = True
@@ -339,7 +348,8 @@ def run(objective, space, config, rng, observer=None, seed_positions=None):
                 eps.append(rng.normal(k * d))
                 r.append(rng.uniform_open())
             else:
-                follow.append((i, rng.choice_without_replacement(others[i], 2), rng.cauchy((2, d))))
+                pair = others[i][rng.choice_without_replacement(n - 1, 2)]
+                follow.append((i, pair, rng.cauchy((2, d))))
 
         # recruited block, then the follower chain (see the module docstring)
         moved = positions.copy()
@@ -361,7 +371,7 @@ def run(objective, space, config, rng, observer=None, seed_positions=None):
         fitness = evaluate(positions)
         best_before = prey[0]
         prey, prey_fitness = merge_archive(prey, prey_fitness, positions, fitness)
-        stagnation = stagnation + 1 if np.array_equal(prey[0], best_before) else 0
+        stagnation = stagnation + 1 if (prey[0] == best_before).all() else 0
 
         bridge = None
         if stagnation >= config.stagnation_threshold:

@@ -41,9 +41,9 @@ class RandomSource:
         """One uniform integer in [low, high)."""
         return int(self._gen.integers(low, high))
 
-    def choice_without_replacement(self, candidates, k):
-        """k distinct elements drawn uniformly from ``candidates``."""
-        return self._gen.choice(np.asarray(candidates), size=k, replace=False)
+    def choice_without_replacement(self, n, k):
+        """k distinct integers drawn uniformly from range(n)."""
+        return self._gen.choice(n, size=k, replace=False)
 
     def roulette(self, pmf, size=None):
         """Roulette-wheel selection: index i with probability pmf[i].

@@ -363,9 +363,10 @@ def test_cover_write_failure_fails_only_its_run(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert main(["cover", "run", "--config", config, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "FAILED seed 2 (pso): disk full\n"
-    # the run's curve and final layout were written before its deployment
+    # the curve and final layout written before the failed deployment are removed
     written, expected = tree_digest(out), tree_digest(full)
-    del expected["deployment_final_pso_2.csv"]
+    for name in ("curve_pso_2.csv", "layout_final_pso_2.svg", "deployment_final_pso_2.csv"):
+        del expected[name]
     assert set(written) == set(expected)
     assert {k: v for k, v in written.items() if not k.startswith(("results", "summary"))} == {
         k: v for k, v in expected.items() if not k.startswith(("results", "summary"))
@@ -409,7 +410,7 @@ def test_cover_failures_are_listed_in_seed_then_algorithm_order(tmp_path, capsys
         "FAILED seed 3 (deploy): disk full\n"
     )
     assert sorted(p.name for p in out.iterdir()) == sorted([
-        "curve_aaso_1.csv", "curve_pso_1.csv", "curve_vfa_1.csv",
+        "curve_aaso_1.csv", "curve_pso_1.csv",
         "deployment_final_aaso_1.csv", "deployment_final_pso_1.csv",
         "layout_final_aaso_1.svg", "layout_final_pso_1.svg", "layout_initial_1.svg",
         "results.json", "summary.csv",

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import armyant
 from armyant.coverage import (
@@ -17,6 +17,7 @@ from armyant.coverage import (
     Sensor,
     candidate_grids,
     canonicalize_angle,
+    canonicalize_scalar,
     coverage,
     coverage_naive,
     expected_initial_coverage,
@@ -393,6 +394,23 @@ def test_canonicalize_angle():
     assert canonicalize_angle(-0.5) == pytest.approx(2 * PI - 0.5)
     arr = canonicalize_angle(np.array([7.0, -7.0, 0.0]))
     assert np.all(arr >= 0.0) and np.all(arr < 2 * PI)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(TWO_PI)
+@example(float(np.nextafter(TWO_PI, 0.0)))
+@example(-TWO_PI)
+@example(-2 * TWO_PI)
+@example(-1000 * TWO_PI)
+@example(-5e-324)
+@example(1e300)
+@example(-1e300)
+def test_canonicalize_scalar_is_canonicalize_angle_to_the_bit(x):
+    got = canonicalize_scalar(x)
+    assert type(got) is float
+    assert np.float64(got).view(np.int64) == np.float64(canonicalize_angle(x)).view(np.int64)
 
 
 @settings(max_examples=25)

@@ -178,3 +178,27 @@ def test_enhance_golden(name):
         run.evaluations,
     )
     assert got == ENHANCE_GOLDEN[name]
+
+
+# seed -> (sha256 of curve bytes, sha256 of best-angle bytes, final rate, evaluations)
+# of VFA at headline size: 500 m field, 5 m grid, 110 sensors, R = 60 m, 90 degrees
+VFA_HEADLINE_GOLDEN = {
+    1: ("1cf5b03edc2ea9d1c1109b0b0b6fd023b46faba5f674f2f211d6ef88ab2bc34f",
+        "fe0b92ef6abd758afb934fc67a6f0fefbd65e969d688bbaf76f776772d32c490", 0.8203, 11110),
+    2: ("4e45d79de647b0555b7de5042c5e645453f73a1987c8ddca20cd6c89f081a0ed",
+        "3354c528d54f0ccd72af0212830e2742763654849d9fc6425d5c4a06870a242e", 0.8433, 11110),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VFA_HEADLINE_GOLDEN))
+def test_vfa_headline_golden(seed):
+    field = aa.CoverageField(500, 500, 5)
+    sensors = aa.random_deployment(field, 110, 60.0, PI / 2, RandomSource(seed))
+    run = enhance_vfa(sensors, field, 100)
+    got = (
+        hashlib.sha256(run.curve.tobytes()).hexdigest(),
+        hashlib.sha256(run.best_angles.tobytes()).hexdigest(),
+        run.final_rate,
+        run.evaluations,
+    )
+    assert got == VFA_HEADLINE_GOLDEN[seed]

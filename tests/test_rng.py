@@ -48,7 +48,7 @@ def test_cauchy_tail_fraction():
 
 def test_choice_without_replacement():
     rng = RandomSource(3)
-    picked = rng.choice_without_replacement(np.arange(10), 10)
+    picked = rng.choice_without_replacement(10, 10)
     assert sorted(picked) == list(range(10))
-    pair = rng.choice_without_replacement(np.arange(50), 2)
+    pair = rng.choice_without_replacement(50, 2)
     assert pair[0] != pair[1]

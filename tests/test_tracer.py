@@ -76,3 +76,6 @@ def test_tracer_wraps_every_search_and_enhancer(tmp_path):
     ):
         assert name in result["spans"]
     assert result["layers"]["optimizer.evals"] > 0
+    # VFA's per-rotation sensing goes through the traced ``sensed_subset``
+    assert result["layers"]["coverage.subset_calls"] > 0
+    assert result["layers"]["enhance.vfa_ms_per_iter"] > 0
