@@ -34,6 +34,7 @@ population after the sweep, plus one block of the bridge candidates when
 the bridge fires.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,39 +109,39 @@ def avg_recruits(t, config):
     return config.recruit_init + (n - config.recruit_init) * t / config.max_iters
 
 
+@functools.lru_cache(maxsize=16)
 def log_factorials(n_max):
-    """log(k!) for k = 0..n_max."""
-    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_max + 1)))))
+    """log(k!) for k = 0..n_max, cached per n_max and read-only."""
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_max + 1)))))
+    log_fact.flags.writeable = False
+    return log_fact
 
 
-def truncated_poisson_pmf(lam, n_max, log_fact=None):
+def truncated_poisson_pmf(lam, n_max):
     """Poisson(lam) pmf truncated to {0..n_max} and renormalized.
 
     Computed in log space so lam near n_max ~ 100 cannot overflow the
-    factorial term. ``log_fact``, when given, is ``log_factorials(n_max)``.
+    factorial term.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     k = np.arange(n_max + 1)
-    if log_fact is None:
-        log_fact = log_factorials(n_max)
-    log_p = k * math.log(lam) - lam - log_fact
+    log_p = k * math.log(lam) - lam - log_factorials(n_max)
     p = np.exp(log_p - log_p.max())
     return p / p.sum()
 
 
-def recruit(n_prey, config, t, rng, log_fact=None):
+def recruit(n_prey, config, t, rng):
     """Recruit map for the ``n_prey`` active prey at iteration t.
 
     Each active prey independently draws its recruit count from the
     truncated Poisson wheel, then selects that many distinct ant indices
     uniformly from the whole population. An ant may serve several prey but
     appears at most once per prey. Counts for every prey are drawn first,
-    then their index selections, in prey order. ``log_fact``, when given,
-    is ``log_factorials(config.population)``.
+    then their index selections, in prey order.
     """
     n = config.population
-    pmf = truncated_poisson_pmf(avg_recruits(t, config), n, log_fact)
+    pmf = truncated_poisson_pmf(avg_recruits(t, config), n)
     counts = rng.roulette(pmf, size=n_prey).tolist()
     return [
         np.sort(rng.choice_without_replacement(n, k)) if k > 0 else np.empty(0, dtype=int)
@@ -330,12 +331,9 @@ def run(objective, space, config, rng, observer=None, seed_positions=None):
     history = [prey_fitness[0]]
     stagnation = 0
     others = [np.delete(np.arange(n), i) for i in range(n)]  # a follower's companions
-    log_fact = log_factorials(n)
 
     for t in range(1, config.max_iters + 1):
-        recruit_map = recruit(
-            min(prey_count(t, config.max_iters), len(prey)), config, t, rng, log_fact
-        )
+        recruit_map = recruit(min(prey_count(t, config.max_iters), len(prey)), config, t, rng)
         member = np.zeros((n, len(recruit_map)), dtype=bool)
         for j, idx in enumerate(recruit_map):
             member[idx, j] = True
