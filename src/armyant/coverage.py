@@ -75,9 +75,37 @@ reaching four ulps of P either side (non-negative doubles order like
 their bit patterns read as integers). Near theta = 0 an ulp of P spans
 many doubles; an entry whose bracket crosses 0 or misses its bound is
 bisected over all of [0, P) instead, branch by branch
-(``_bisect_intervals``). An evaluation then tests lo <= theta <= hi, or
-theta >= lo or theta <= hi when lo > hi: two compares and two XORs
-(``_in_interval``).
+(``_bisect_intervals``). VFA's per-sensor update then tests lo <= theta
+<= hi, or theta >= lo or theta <= hi when lo > hi: two compares and two
+XORs (``_in_interval``).
+
+An evaluation of all sensors does not test the entries one by one. Read
+the bounds as their bit patterns L and H in [0, S), S being the pattern
+of P (``_SPAN``), and unwrap each interval onto [0, 2S): H' = H, or
+H + S when it wraps (L > H); a full set becomes [S - 1, 2S - 2]. The
+patterns stay exact as uint64 (2S exceeds the int64 range). An angle
+theta with pattern k in [0, S) lies in the interval exactly when
+L <= k <= H' or k + S <= H', and H' < L + S, so the second case has
+L > k.
+
+Sort each sensor's entries by (L, H'). When H' is then nondecreasing
+too, the entries with L <= k are a prefix [0, b) of the sensor's slice,
+those with H' >= k a suffix [a, n) and those with H' >= k + S a suffix
+[a2, n), which starts at or after b since its entries have L > k. So the
+sensed entries are the two runs [a, b) and [a2, n), with b = #(L <= k),
+a = #(H' < k) <= b (as H' >= L) and a2 = #(H' < k + S), each one binary
+search (``searchsorted``). The evaluation expands the runs into entry
+positions and scatters their grids into the mask; the unsensed entries
+are never read.
+
+The order holds in exact arithmetic: a sensor's intervals all span its
+view angle, so H' rises with L (the bit patterns and the unwrapping are
+monotone maps of [0, 2P)). A full set, placed last, has the largest L
+and H' there are. Rounding moves a bound by a few ulps of P, so two
+entries whose lower bounds lie that close could swap their H'. The build
+does not rely on the order: it cuts a sensor's entries wherever H' falls
+and searches each stretch like a sensor (``_run_layout``). No sensor of
+the headline instances needs a cut.
 """
 
 import csv
@@ -348,6 +376,35 @@ def _bisect_intervals(bearing, half, upper):
     return lo.view(np.float64), hi.view(np.float64)
 
 
+_USPAN = np.uint64(_SPAN)
+
+
+def _run_layout(lo, hi, counts):
+    """Order the entries for the run search of the module docstring.
+
+    ``lo``/``hi`` are the entries' intervals, sensor by sensor, and
+    ``counts`` each sensor's entry count. Returns the entry order, the
+    unwrapped pattern bounds ``start``/``end`` in that order, and the
+    first entries, stops and sensors of the segments: the stretches of one
+    sensor's entries along which ``end`` does not fall, so that both
+    bounds are nondecreasing in each.
+    """
+    start, end = lo.view(np.uint64), hi.view(np.uint64)
+    full = (start == 0) & (end == _USPAN - 1)
+    end = end + (start > end) * _USPAN
+    # a full set becomes [S - 1, 2S - 2]: the largest bounds there are
+    start = np.where(full, _USPAN - 1, start)
+    end = np.where(full, 2 * _USPAN - 2, end)
+    owner = np.repeat(np.arange(counts.size), counts)
+    order = np.lexsort((end, start, owner))
+    owner, start, end = owner[order], start[order], end[order]
+    # entry i starts a segment; the last flag closes the last segment
+    starts = np.ones(owner.size + 1, dtype=bool)
+    starts[1:-1] = (owner[1:] != owner[:-1]) | (end[1:] < end[:-1])
+    bounds = np.flatnonzero(starts)
+    return order, start, end, bounds[:-1], bounds[1:], owner[bounds[:-1]]
+
+
 def is_sensed(sensor, point):
     """True when the point lies inside the sensor's sensing sector."""
     dx = point[0] - sensor.x
@@ -402,12 +459,15 @@ class CoverageEvaluator:
     Candidate grids, bearings and zero-distance flags are precomputed per
     sensor and flattened. The build then turns each (sensor, grid) entry
     into the circular interval ``[lo, hi]`` of deviation angles at which
-    the grid is sensed (module docstring), so an evaluation is two
-    compares and two XORs per entry. Per entry it keeps the grid index
-    ``_idx``, the interval ``_lo``/``_hi`` and the flag ``_in_order``
-    (``lo <= hi``; clear when the interval wraps past 2*pi). Nothing is
-    written after the build: every evaluation allocates its own arrays, so
-    one evaluator may be shared by several threads.
+    the grid is sensed, and orders each sensor's entries so that the
+    entries sensed at any angle form two runs, found by binary search
+    (module docstring). Per entry, in candidate order, it keeps the grid
+    index ``_idx``, the interval ``_lo``/``_hi`` and the flag ``_in_order``
+    (``lo <= hi``; clear when the interval wraps past 2*pi), which
+    ``sensed_subset`` tests; in run order, the grid indices ``_run_idx``
+    and, per segment, its sensor and unwrapped bounds. Nothing is written
+    after the build: every evaluation allocates its own arrays, so one
+    evaluator may be shared by several threads.
 
     ``per_sensor[i]`` holds views of sensor i's candidate grid indices,
     bearings and zero-distance flags.
@@ -423,6 +483,16 @@ class CoverageEvaluator:
         half = np.repeat([s.view_angle / 2.0 for s in sensors], self._counts)
         self._lo, self._hi = _sensing_intervals(bearing, half, zero)
         self._in_order = self._lo <= self._hi
+        order, start, end, self._first, self._stop, owners = _run_layout(
+            self._lo, self._hi, self._counts
+        )
+        self._run_idx = self._idx[order]
+        self._segments = [
+            (j, start[a:b], end[a:b])
+            for j, a, b in zip(owners.tolist(), self._first.tolist(), self._stop.tolist())
+        ]
+        # 0, 1, 2, ...: the rank of each sensed entry among a row's runs
+        self._ranks = np.arange(self._idx.size)
 
     def sensed_subset(self, sensor_index, theta):
         """Mask over sensor_index's candidate grids sensed at angle theta."""
@@ -430,25 +500,51 @@ class CoverageEvaluator:
         part = self._parts[sensor_index]
         return _in_interval(theta, self._lo[part], self._hi[part], self._in_order[part])
 
+    def _masks(self, block):
+        """A fresh covered mask per row of an (n, sensors) block of angles.
+
+        The angles must be finite. That is not checked here, as it would
+        add to every evaluation: a NaN angle selects meaningless runs.
+        ``Sensor`` rejects non-finite deviations, and the optimizers search
+        a finite box.
+        """
+        if block.ndim != 2 or block.shape[1] != self._counts.size:
+            raise ValueError("need exactly one angle per sensor")
+        # the intervals hold for theta in [0, 2*pi), whose patterns k lie in
+        # [0, _SPAN); canonicalizing also makes 2*pi and 0 evaluate alike
+        keys = np.ascontiguousarray(canonicalize_angle(block).T).view(np.uint64)
+        n, m = len(block), len(self._segments)
+        shifted = np.concatenate([keys, keys + _USPAN], axis=1)
+        # per segment, columns [0, n) hold the runs [a, b) of the n rows and
+        # columns [n, 2n) the runs [a2, stop), as entry positions
+        first = np.empty((m, 2 * n), dtype=np.intp)
+        stop = np.empty((m, 2 * n), dtype=np.intp)
+        for s, (j, lo, hi) in enumerate(self._segments):
+            first[s] = hi.searchsorted(shifted[j])
+            stop[s, :n] = lo.searchsorted(keys[j], side="right")
+        first += self._first[:, None]
+        stop[:, :n] += self._first[:, None]
+        stop[:, n:] = self._stop[:, None]
+        # row i's 2m runs side by side
+        first = first.reshape(m, 2, n).T.reshape(n, 2 * m)
+        stop = stop.reshape(m, 2, n).T.reshape(n, 2 * m)
+        length = stop - first  # a <= b: an entry with H' < k has L < k
+        # a sensed entry's position is its rank among the row's sensed
+        # entries plus this shift of its run
+        shift = first - (np.cumsum(length, axis=1) - length)
+        for i, total in enumerate(length.sum(axis=1).tolist()):
+            positions = np.repeat(shift[i], length[i])
+            positions += self._ranks[:total]
+            covered = np.zeros(self.grid_count, dtype=bool)
+            covered[self._run_idx.take(positions)] = True
+            yield covered
+
     def covered_mask(self, angles):
         """Fresh grid-sized mask of the grids covered at the given angles.
 
-        The angles must be finite. That is not checked here, as it would
-        add to every evaluation: the interval test scores a NaN angle as
-        sensed on every interval that does not wrap. ``Sensor`` rejects
-        non-finite deviations, and the optimizers search a finite box.
+        One row of ``fitness``'s kernel; the angles must be finite.
         """
-        # the intervals hold for theta in [0, 2*pi); canonicalizing also makes
-        # theta = 2*pi and theta = 0 evaluate identically
-        angles = np.asarray(canonicalize_angle(np.asarray(angles, dtype=float)))
-        if angles.shape != self._counts.shape:
-            raise ValueError("need exactly one angle per sensor")
-        # np.repeat measured faster than a padded per-sensor layout; it
-        # allocates, but the allocation adds no page faults per call
-        sensed = _in_interval(np.repeat(angles, self._counts), self._lo, self._hi, self._in_order)
-        covered = np.zeros(self.grid_count, dtype=bool)
-        covered[self._idx[sensed]] = True
-        return covered
+        return next(self._masks(np.asarray(angles, dtype=float)[None]))
 
     def covered_count(self, angles):
         return int(np.count_nonzero(self.covered_mask(angles)))
@@ -462,15 +558,16 @@ class CoverageEvaluator:
         Row i holds one angle per sensor; value i is its reciprocal rate.
         Full coverage scores 1.0, half coverage 2.0; zero coverage returns
         the finite sentinel grid_count**2 so the objective stays total.
-        The rows are evaluated one at a time: a batched kernel measured no
-        faster.
+        The block's runs are searched sensor by sensor for all rows at
+        once; each row's runs are then expanded and scattered on their own,
+        into a grid-sized mask that stays in cache.
         """
         block = np.asarray(angles, dtype=float)
         if block.ndim != 2:
             raise ValueError("fitness takes an (n, sensors) block of angle vectors")
         values = np.empty(len(block))
-        for i, row in enumerate(block):
-            covered = self.covered_count(row)
+        for i, mask in enumerate(self._masks(block)):
+            covered = int(np.count_nonzero(mask))
             values[i] = self.grid_count / covered if covered else float(self.grid_count**2)
         return values
 
@@ -601,4 +698,6 @@ def read_deployment(path):
             sensors.append(Sensor(x, y, radius, math.radians(view_deg), math.radians(dev_deg)))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not sensors:
+        raise ValueError(f"{path}: no sensors")
     return sensors

@@ -348,6 +348,17 @@ def test_cover_non_finite_deployment_fails_its_seeds(tmp_path, capsys):
     assert json.loads((out / "results.json").read_text(), parse_constant=float) == []
 
 
+def test_cover_empty_deployment_fails_its_seed_once(tmp_path, capsys):
+    deploy = tmp_path / "empty.csv"
+    deploy.write_text("x_m,y_m,radius_m,view_angle_deg,deviation_deg\n")
+    config = write_config(tmp_path, TINY_COVER + f"deployment_path = {deploy}\n")
+    out = tmp_path / "out"
+    assert main(["cover", "run", "--config", config, "--seeds", "1", "--out", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAILED")]
+    assert failed == [f"FAILED seed 1 (deploy): {deploy}: no sensors"]
+    assert not list(out.glob("*_1.*"))
+
+
 def test_cover_write_failure_fails_only_its_run(tmp_path, capsys, monkeypatch):
     real_write = armyant.cli.write_deployment
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from armyant.coverage import (
     _in_interval,
     _in_sector,
     _reduce_angle,
+    _run_layout,
     _sensed,
     _sensing_intervals,
 )
@@ -387,6 +389,9 @@ def test_deployment_io_errors(tmp_path):
     bad.write_text("x_m,y_m,radius_m,view_angle_deg,deviation_deg\n1,2,3,90,5\n1,2,3,90,nan\n")
     with pytest.raises(ValueError, match=re.escape(f"{bad}:3: sensor deviation must be finite")):
         read_deployment(bad)
+    bad.write_text("x_m,y_m,radius_m,view_angle_deg,deviation_deg\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: no sensors")):
+        read_deployment(bad)
 
 
 def test_canonicalize_angle():
@@ -644,6 +649,138 @@ def test_covered_mask_matches_reduction_at_interval_bounds():
         assert np.array_equal(ev.covered_mask(angles), expected)
 
 
+# --- run search (module docstring) ------------------------------------------------------
+
+RUN_FIELD = CoverageField(60, 60, 5)  # centroids at 2.5 + 5k
+RUN_VIEWS = [1e-9, PI / 2, PI, 2 * PI - 1e-12, 2 * PI]
+
+
+def reference_masks(ev, block):
+    """Per row, the grids of the entries whose interval holds the canonical angle."""
+    masks = np.zeros((len(block), ev.grid_count), dtype=bool)
+    for i, row in enumerate(block):
+        for j, part in enumerate(ev._parts):
+            theta = canonicalize_angle(row[j])
+            sensed = _in_interval(theta, ev._lo[part], ev._hi[part], ev._in_order[part])
+            masks[i, ev._idx[part][sensed]] = True
+    return masks
+
+
+def probe_pools(ev):
+    """Per sensor, its interval bounds, their outer neighbours and the circle's ends,
+    also as negative angles and angles above 2*pi."""
+    return [
+        np.concatenate([
+            ev._lo[part], ev._hi[part], before(ev._lo[part]), after(ev._hi[part]),
+            ev._lo[part] + TWO_PI, -ev._hi[part],
+            [0.0, TWO_PI, LAST, -0.0, -1.0, -TWO_PI, 7.0, 3 * TWO_PI + 0.5],
+        ])
+        for part in ev._parts
+    ]
+
+
+def probe_block(ev, rng, rows):
+    """Rows of angles drawn from each sensor's probe pool."""
+    return np.column_stack([rng.choice(pool, rows) for pool in probe_pools(ev)])
+
+
+def sweep_block(ev):
+    """Rows that reach every angle of every sensor's probe pool."""
+    pools = probe_pools(ev)
+    rows = max(pool.size for pool in pools)
+    return np.column_stack([np.resize(pool, rows) for pool in pools])
+
+
+def assert_kernel_matches(ev, block):
+    expected = reference_masks(ev, block)
+    counts = expected.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        values = np.where(counts > 0, ev.grid_count / counts, float(ev.grid_count**2))
+    got = ev.fitness(block)
+    assert got.shape == (len(block),)
+    assert np.array_equal(got, values)
+    for row, mask in zip(block, expected):
+        assert np.array_equal(ev.covered_mask(row), mask)
+    return expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 25, 50]))
+def test_run_kernel_equals_interval_test_and_naive_coverage(seed, rows):
+    rng = np.random.default_rng(seed)
+    sensors = []
+    for _ in range(int(rng.integers(1, 7))):
+        if rng.uniform() < 0.4:  # on a centroid: a zero-distance entry
+            x, y = 2.5 + 5 * rng.integers(0, 12, 2)
+        else:
+            x, y = rng.uniform(0.0, 60.0, 2)
+        view = RUN_VIEWS[rng.integers(len(RUN_VIEWS))] if rng.uniform() < 0.8 else rng.uniform(0.01, 2 * PI)
+        sensors.append(Sensor(x, y, rng.uniform(3.0, 30.0), view))
+    sensors.insert(int(rng.integers(len(sensors) + 1)), Sensor(5.0, 5.0, 0.5, PI / 2))  # no candidate
+    ev = CoverageEvaluator(sensors, RUN_FIELD)
+    assert ev._counts.min() == 0
+    block = probe_block(ev, rng, rows)
+    expected = assert_kernel_matches(ev, block)
+    for row, mask in zip(block, expected):
+        assert np.array_equal(coverage_naive(with_deviations(sensors, row), RUN_FIELD).covered, mask)
+    assert_kernel_matches(ev, sweep_block(ev))
+
+
+def test_run_kernel_on_the_headline_instance():
+    field = CoverageField(500.0, 500.0, 5.0)
+    ev = CoverageEvaluator(random_deployment(field, 110, 60.0, PI / 2, RandomSource(1)), field)
+    assert len(ev._segments) == 110  # no cuts: every sensor's bounds rise together
+    assert_kernel_matches(ev, probe_block(ev, np.random.default_rng(1), 50))
+
+
+def test_run_layout_unwraps_puts_full_sets_last_and_cuts_where_ends_fall():
+    # sensor 0: a full set, a wrapped interval, an interval and one angle;
+    # sensor 1 has no entry; sensor 2's second interval ends before its first
+    lo = np.array([0.0, 6.0, 1.0, 0.5, 1.0, 1.5, 2.0])
+    hi = np.array([LAST, 0.25, 2.0, 0.5, 3.0, 2.0, 4.0])
+    order, start, end, first, stop, sensors = _run_layout(lo, hi, np.array([4, 0, 3]))
+    assert order.tolist() == [3, 2, 1, 0, 4, 5, 6]
+    span = np.float64(TWO_PI).view(np.uint64)
+    assert end[2] == np.float64(0.25).view(np.uint64) + span
+    assert (start[3], end[3]) == (span - 1, 2 * span - 2)
+    assert (first.tolist(), stop.tolist(), sensors.tolist()) == ([0, 4, 5], [4, 5, 7], [0, 2, 2])
+    empty = _run_layout(np.empty(0), np.empty(0), np.zeros(2, dtype=np.intp))
+    assert [part.size for part in empty] == [0] * 6
+
+
+def crafted_intervals(rng, size):
+    """Intervals of any widths, so that a sensor's upper bounds fall in lower-bound order."""
+    lo = rng.uniform(0.0, TWO_PI, size)
+    hi = rng.uniform(0.0, TWO_PI, size)
+    kind = rng.integers(0, 6, size)
+    hi[kind == 0] = lo[kind == 0]                 # one angle
+    lo[kind == 1], hi[kind == 1] = 0.0, LAST      # full set
+    hi[kind == 2] = before(lo[kind == 2])         # all but nothing: every angle, wrapped
+    lo[kind == 3] = 0.0
+    hi[kind == 4] = LAST
+    return lo, hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 25, 50]))
+def test_run_kernel_cuts_where_upper_bounds_fall(seed, rows):
+    rng = np.random.default_rng(seed)
+    sensors = [Sensor(30.0, 30.0, 20.0, PI / 2), Sensor(12.0, 40.0, 0.5, PI),
+               Sensor(40.0, 17.5, 15.0, PI / 3)]
+
+    def crafted(bearing, half, zero):
+        return crafted_intervals(rng, len(bearing))
+
+    with mock.patch("armyant.coverage._sensing_intervals", crafted):
+        ev = CoverageEvaluator(sensors, RUN_FIELD)
+    for _, start, end in ev._segments:
+        assert np.all(start[1:] >= start[:-1]) and np.all(end[1:] >= end[:-1])
+    assert len(ev._segments) > np.count_nonzero(ev._counts)  # cuts were needed
+    assert sorted(ev._run_idx.tolist()) == sorted(ev._idx.tolist())
+    assert_kernel_matches(ev, probe_block(ev, rng, rows))
+    assert_kernel_matches(ev, sweep_block(ev))
+
+
 # --- evaluator results are fresh and the evaluator is read-only -------------------------
 
 def test_covered_mask_result_survives_later_calls():
@@ -717,3 +854,7 @@ def test_covered_mask_needs_one_angle_per_sensor():
     for angles in (np.zeros(2), np.zeros(4)):
         with pytest.raises(ValueError):
             ev.covered_mask(angles)
+    for block in (np.zeros((2, 2)), np.zeros((0, 4)), np.zeros(3)):
+        with pytest.raises(ValueError):
+            ev.fitness(block)
+    assert ev.fitness(np.zeros((0, 3))).shape == (0,)
