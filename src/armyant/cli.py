@@ -57,13 +57,24 @@ def run_cover(spec):
     deployments, failures = compare_cover(
         deploy, field, spec.algorithms, spec.seeds, spec.optimizer_config()
     )
+
+    def remove(paths):
+        # a failed deployment or run leaves none of its files; if one cannot
+        # be removed, the failure is still reported
+        for path in paths:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+
     results = []
     for seed, (sensors, runs) in deployments.items():
+        initial_path = os.path.join(out, f"layout_initial_{seed}.svg")
         try:
-            render_deployment_svg(sensors, field, os.path.join(out, f"layout_initial_{seed}.svg"))
+            render_deployment_svg(sensors, field, initial_path)
         except (ValueError, OSError) as exc:
-            # failed as a deployment: none of the seed's runs is written or reported
+            # failed as a deployment: none of the seed's runs is written or
+            # reported, and no part of its initial layout is left
             failures = [f for f in failures if f[0] != seed] + [(seed, "deploy", str(exc))]
+            remove([initial_path])
             continue
         for algorithm, run in runs.items():
             curve_path = os.path.join(out, f"curve_{algorithm}_{seed}.csv")
@@ -87,11 +98,7 @@ def run_cover(spec):
                 )
             except (ValueError, OSError) as exc:
                 failures.append((seed, algorithm, str(exc)))
-                # a failed run leaves none of its files; if one cannot be
-                # removed, the run is still reported as failed
-                for path in (curve_path, layout_path, deployment_path):
-                    with contextlib.suppress(OSError):
-                        os.remove(path)
+                remove([curve_path, layout_path, deployment_path])
 
     def write_results(fh):
         json.dump(results, fh, indent=2, sort_keys=True)

@@ -94,9 +94,7 @@ those with H' >= k a suffix [a, n) and those with H' >= k + S a suffix
 [a2, n), which starts at or after b since its entries have L > k. So the
 sensed entries are the two runs [a, b) and [a2, n), with b = #(L <= k),
 a = #(H' < k) <= b (as H' >= L) and a2 = #(H' < k + S), each one binary
-search (``searchsorted``). The evaluation expands the runs into entry
-positions and scatters their grids into the mask; the unsensed entries
-are never read.
+search (``searchsorted``).
 
 The order holds in exact arithmetic: a sensor's intervals all span its
 view angle, so H' rises with L (the bit patterns and the unwrapping are
@@ -106,6 +104,29 @@ entries whose lower bounds lie that close could swap their H'. The build
 does not rely on the order: it cuts a sensor's entries wherever H' falls
 and searches each stretch like a sensor (``_run_layout``). No sensor of
 the headline instances needs a cut.
+
+The rows of a block are then evaluated together, bit-parallel across
+rows in the manner of shift-or string matching (Baeza-Yates & Gonnet
+1992): row i of a pass of at most 53 rows is bit i of a uint64 word. The
+entries lie in run order, segment by segment, with one empty slot after
+each segment. For each of its non-empty runs, a row marks the slot of the
+run's first entry and the slot just past its last; where the first run
+ends at the second's start (b == a2), the two are one run and that slot
+is not marked. A running XOR over the slots then holds, at each entry,
+the rows whose runs contain it. The slot past a segment's last entry is
+its gap slot, so an end mark never lands on the next segment's first
+entry.
+
+One weighted ``bincount`` marks the slots by adding 2.0**i for row i. The
+gaps and the merge leave no slot marked twice by one row, so a slot's sum
+is a sum of distinct powers of two below 2**53: every partial sum is an
+integer below 2**53, exact in float64, and the sum equals the XOR of the
+bits. Cast to uint64, one in-place ``bitwise_xor.accumulate`` gives every
+entry its word. A ``bitwise_or.reduceat`` over the entries regrouped grid
+by grid (at build) gives one word per grid, and a 256-bin histogram of
+each of the words' eight bytes, times the bits of each byte value, gives
+each row's count of covered grids. Past the search, the cost of a pass
+follows the number of entries, not the rows times the sensed entries.
 """
 
 import csv
@@ -377,6 +398,11 @@ def _bisect_intervals(bearing, half, upper):
 
 
 _USPAN = np.uint64(_SPAN)
+# rows per bit-parallel pass: row i is bit i, and a sum of distinct powers of
+# two below 2**53 is an exact double (module docstring)
+_WORD = 53
+# _BYTE_BITS[v, i] is bit i of the byte value v
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
 
 def _run_layout(lo, hi, counts):
@@ -464,10 +490,14 @@ class CoverageEvaluator:
     (module docstring). Per entry, in candidate order, it keeps the grid
     index ``_idx``, the interval ``_lo``/``_hi`` and the flag ``_in_order``
     (``lo <= hi``; clear when the interval wraps past 2*pi), which
-    ``sensed_subset`` tests; in run order, the grid indices ``_run_idx``
-    and, per segment, its sensor and unwrapped bounds. Nothing is written
-    after the build: every evaluation allocates its own arrays, so one
-    evaluator may be shared by several threads.
+    ``sensed_subset`` tests. For the bit-parallel pass it keeps, per
+    segment, its sensor, its unwrapped bounds, its first slot
+    ``_slot_first`` and its entry count ``_slot_count`` (a segment's gap
+    slot follows its last entry); and the entries' slots grouped grid by
+    grid, ``_grid_slots``, with each group's start ``_grid_starts`` and
+    grid ``_grids``. Nothing is written after the build: every evaluation
+    allocates its own arrays, so one evaluator may be shared by several
+    threads.
 
     ``per_sensor[i]`` holds views of sensor i's candidate grid indices,
     bearings and zero-distance flags.
@@ -483,16 +513,24 @@ class CoverageEvaluator:
         half = np.repeat([s.view_angle / 2.0 for s in sensors], self._counts)
         self._lo, self._hi = _sensing_intervals(bearing, half, zero)
         self._in_order = self._lo <= self._hi
-        order, start, end, self._first, self._stop, owners = _run_layout(
-            self._lo, self._hi, self._counts
-        )
-        self._run_idx = self._idx[order]
+        order, start, end, first, stop, owners = _run_layout(self._lo, self._hi, self._counts)
         self._segments = [
             (j, start[a:b], end[a:b])
-            for j, a, b in zip(owners.tolist(), self._first.tolist(), self._stop.tolist())
+            for j, a, b in zip(owners.tolist(), first.tolist(), stop.tolist())
         ]
-        # 0, 1, 2, ...: the rank of each sensed entry among a row's runs
-        self._ranks = np.arange(self._idx.size)
+        # segment s's entries take the slots from first + s on: one gap slot
+        # follows each segment
+        segment = np.arange(first.size)
+        self._slot_first = first + segment
+        self._slot_count = stop - first
+        self._slots = self._idx.size + first.size
+        slot = np.arange(self._idx.size) + np.repeat(segment, self._slot_count)
+        grids = self._idx[order]
+        by_grid = np.argsort(grids, kind="stable")
+        grids = grids[by_grid]
+        self._grid_slots = slot[by_grid]
+        self._grid_starts = np.flatnonzero(np.diff(grids, prepend=-1))
+        self._grids = grids[self._grid_starts]
 
     def sensed_subset(self, sensor_index, theta):
         """Mask over sensor_index's candidate grids sensed at angle theta."""
@@ -500,51 +538,77 @@ class CoverageEvaluator:
         part = self._parts[sensor_index]
         return _in_interval(theta, self._lo[part], self._hi[part], self._in_order[part])
 
-    def _masks(self, block):
-        """A fresh covered mask per row of an (n, sensors) block of angles.
-
-        The angles must be finite. That is not checked here, as it would
-        add to every evaluation: a NaN angle selects meaningless runs.
-        ``Sensor`` rejects non-finite deviations, and the optimizers search
-        a finite box.
-        """
+    def _check(self, block):
+        """Reject a block that is not (n, sensors) or holds a non-finite angle."""
         if block.ndim != 2 or block.shape[1] != self._counts.size:
             raise ValueError("need exactly one angle per sensor")
+        if not np.isfinite(block).all():
+            row, sensor = np.argwhere(~np.isfinite(block))[0].tolist()
+            value = float(block[row, sensor])
+            raise ValueError(
+                f"row {row}: the angle of sensor {sensor} must be finite, got {value!r}"
+            )
+
+    def _marks(self, block):
+        """The slots that a checked block of at most 53 rows marks, and the weights.
+
+        Row i marks the start and the end of each of its non-empty runs with
+        2.0**i, as one flat array of slots and one of weights; a mark that
+        an empty run or a join of two runs drops has weight 0.0.
+        """
+        n, m = len(block), len(self._segments)
         # the intervals hold for theta in [0, 2*pi), whose patterns k lie in
         # [0, _SPAN); canonicalizing also makes 2*pi and 0 evaluate alike
         keys = np.ascontiguousarray(canonicalize_angle(block).T).view(np.uint64)
-        n, m = len(block), len(self._segments)
         shifted = np.concatenate([keys, keys + _USPAN], axis=1)
-        # per segment, columns [0, n) hold the runs [a, b) of the n rows and
-        # columns [n, 2n) the runs [a2, stop), as entry positions
-        first = np.empty((m, 2 * n), dtype=np.intp)
-        stop = np.empty((m, 2 * n), dtype=np.intp)
+        # per segment and row, the runs [a, b) and [a2, count) as positions
+        # within the segment, stacked as a, a2, b, count
+        marks = np.empty((4, m, n), dtype=np.intp)
         for s, (j, lo, hi) in enumerate(self._segments):
-            first[s] = hi.searchsorted(shifted[j])
-            stop[s, :n] = lo.searchsorted(keys[j], side="right")
-        first += self._first[:, None]
-        stop[:, :n] += self._first[:, None]
-        stop[:, n:] = self._stop[:, None]
-        # row i's 2m runs side by side
-        first = first.reshape(m, 2, n).T.reshape(n, 2 * m)
-        stop = stop.reshape(m, 2, n).T.reshape(n, 2 * m)
-        length = stop - first  # a <= b: an entry with H' < k has L < k
-        # a sensed entry's position is its rank among the row's sensed
-        # entries plus this shift of its run
-        shift = first - (np.cumsum(length, axis=1) - length)
-        for i, total in enumerate(length.sum(axis=1).tolist()):
-            positions = np.repeat(shift[i], length[i])
-            positions += self._ranks[:total]
-            covered = np.zeros(self.grid_count, dtype=bool)
-            covered[self._run_idx.take(positions)] = True
-            yield covered
+            marks[:2, s] = hi.searchsorted(shifted[j]).reshape(2, n)
+            marks[2, s] = lo.searchsorted(keys[j], side="right")
+        marks[3] = self._slot_count[:, None]
+        a, a2, b, count = marks
+        first_run = a < b  # a <= b: an entry with H' < k has L < k
+        second_run = a2 < count
+        joined = first_run & second_run & (b == a2)
+        weights = np.stack([first_run, second_run ^ joined, first_run ^ joined, second_run])
+        marks += self._slot_first[:, None]
+        return marks.ravel(), (weights * 2.0 ** np.arange(n)).ravel()
+
+    def _words(self, block):
+        """Per grid of ``_grids``, the rows of a checked block that sense it.
+
+        The block has at most 53 rows; row i is bit i of the grid's word
+        (module docstring).
+        """
+        # each sum is exact and equals the XOR of its slot's marks; the marks
+        # are freed before the slot arrays exist, which keeps the peak of a
+        # pass below the heap's trim threshold and spares page faults
+        slots = np.bincount(*self._marks(block), minlength=self._slots).astype(np.uint64)
+        np.bitwise_xor.accumulate(slots, out=slots)
+        return np.bitwise_or.reduceat(slots.take(self._grid_slots), self._grid_starts)
+
+    def _covered_counts(self, block):
+        """Covered-grid count of each row of a checked block of at most 53 rows."""
+        lanes = self._words(block).astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        # byte k of a word holds rows 8k to 8k + 7
+        lane_count = (len(block) + 7) // 8
+        hist = np.stack([np.bincount(lanes[:, k], minlength=256) for k in range(lane_count)])
+        return (hist @ _BYTE_BITS).ravel()[: len(block)]
 
     def covered_mask(self, angles):
         """Fresh grid-sized mask of the grids covered at the given angles.
 
-        One row of ``fitness``'s kernel; the angles must be finite.
+        ``fitness``'s kernel on a one-row block: the row's grids are the
+        grids whose word has bit 0 set. A non-finite angle raises
+        ``ValueError``.
         """
-        return next(self._masks(np.asarray(angles, dtype=float)[None]))
+        block = np.asarray(angles, dtype=float)[None]
+        self._check(block)
+        covered = np.zeros(self.grid_count, dtype=bool)
+        covered[self._grids] = self._words(block) & 1
+        return covered
 
     def covered_count(self, angles):
         return int(np.count_nonzero(self.covered_mask(angles)))
@@ -558,17 +622,21 @@ class CoverageEvaluator:
         Row i holds one angle per sensor; value i is its reciprocal rate.
         Full coverage scores 1.0, half coverage 2.0; zero coverage returns
         the finite sentinel grid_count**2 so the objective stays total.
-        The block's runs are searched sensor by sensor for all rows at
-        once; each row's runs are then expanded and scattered on their own,
-        into a grid-sized mask that stays in cache.
+        The block is evaluated in bit-parallel passes of up to 53 rows
+        (module docstring): each pass searches the runs sensor by sensor for
+        all its rows at once, then marks, XORs and ORs one word per entry
+        and per grid, whatever its number of rows. A non-finite angle raises
+        ``ValueError`` naming its row and sensor.
         """
         block = np.asarray(angles, dtype=float)
         if block.ndim != 2:
             raise ValueError("fitness takes an (n, sensors) block of angle vectors")
-        values = np.empty(len(block))
-        for i, mask in enumerate(self._masks(block)):
-            covered = int(np.count_nonzero(mask))
-            values[i] = self.grid_count / covered if covered else float(self.grid_count**2)
+        self._check(block)
+        values = np.full(len(block), float(self.grid_count**2))
+        for first in range(0, len(block), _WORD):
+            counts = self._covered_counts(block[first : first + _WORD])
+            covered = counts > 0
+            values[first : first + _WORD][covered] = self.grid_count / counts[covered]
         return values
 
 

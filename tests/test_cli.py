@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -429,6 +430,26 @@ def test_cover_failures_are_listed_in_seed_then_algorithm_order(tmp_path, capsys
     assert [(r["seed"], r["algorithm"]) for r in json.loads((out / "results.json").read_text())] == [
         (1, "aaso"), (1, "pso")
     ]
+
+
+def test_cover_truncated_initial_layout_is_removed(tmp_path, capsys, monkeypatch):
+    # the disk fills after the first 100 bytes of seed 2's initial layout
+    real_svg = armyant.cli.render_deployment_svg
+
+    def render(sensors, field, path):
+        if Path(path).name == "layout_initial_2.svg":
+            with open(path, "w") as fh:
+                fh.write("<" * 100)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_svg(sensors, field, path)
+
+    monkeypatch.setattr(armyant.cli, "render_deployment_svg", render)
+    config = write_config(tmp_path, TINY_COVER)
+    out = tmp_path / "out"
+    assert main(["cover", "run", "--config", config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "FAILED seed 2 (deploy): [Errno 28] No space left on device\n"
+    assert not list(out.glob("*_2.*"))
+    assert len(list(out.glob("*_1.*"))) == 10
 
 
 def test_cover_programming_error_propagates(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -653,6 +654,8 @@ def test_covered_mask_matches_reduction_at_interval_bounds():
 
 RUN_FIELD = CoverageField(60, 60, 5)  # centroids at 2.5 + 5k
 RUN_VIEWS = [1e-9, PI / 2, PI, 2 * PI - 1e-12, 2 * PI]
+# block sizes below, at and past the 53 rows of one bit-parallel pass
+BLOCK_ROWS = [0, 1, 25, 50, 52, 53, 54, 107]
 
 
 def reference_masks(ev, block):
@@ -705,7 +708,7 @@ def assert_kernel_matches(ev, block):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 25, 50]))
+@given(st.integers(0, 2**32 - 1), st.sampled_from(BLOCK_ROWS))
 def test_run_kernel_equals_interval_test_and_naive_coverage(seed, rows):
     rng = np.random.default_rng(seed)
     sensors = []
@@ -726,9 +729,16 @@ def test_run_kernel_equals_interval_test_and_naive_coverage(seed, rows):
     assert_kernel_matches(ev, sweep_block(ev))
 
 
-def test_run_kernel_on_the_headline_instance():
+@pytest.fixture(scope="module")
+def headline():
+    """The evaluator of headline seed 1 and its deployed angles."""
     field = CoverageField(500.0, 500.0, 5.0)
-    ev = CoverageEvaluator(random_deployment(field, 110, 60.0, PI / 2, RandomSource(1)), field)
+    sensors = random_deployment(field, 110, 60.0, PI / 2, RandomSource(1))
+    return CoverageEvaluator(sensors, field), np.array([s.deviation for s in sensors])
+
+
+def test_run_kernel_on_the_headline_instance(headline):
+    ev, _ = headline
     assert len(ev._segments) == 110  # no cuts: every sensor's bounds rise together
     assert_kernel_matches(ev, probe_block(ev, np.random.default_rng(1), 50))
 
@@ -762,7 +772,7 @@ def crafted_intervals(rng, size):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 25, 50]))
+@given(st.integers(0, 2**32 - 1), st.sampled_from(BLOCK_ROWS))
 def test_run_kernel_cuts_where_upper_bounds_fall(seed, rows):
     rng = np.random.default_rng(seed)
     sensors = [Sensor(30.0, 30.0, 20.0, PI / 2), Sensor(12.0, 40.0, 0.5, PI),
@@ -776,7 +786,11 @@ def test_run_kernel_cuts_where_upper_bounds_fall(seed, rows):
     for _, start, end in ev._segments:
         assert np.all(start[1:] >= start[:-1]) and np.all(end[1:] >= end[:-1])
     assert len(ev._segments) > np.count_nonzero(ev._counts)  # cuts were needed
-    assert sorted(ev._run_idx.tolist()) == sorted(ev._idx.tolist())
+    # every entry has one slot, none of them a segment's gap slot, and its grid's group
+    gaps = ev._slot_first + ev._slot_count
+    assert sorted(ev._grid_slots.tolist() + gaps.tolist()) == list(range(ev._slots))
+    sizes = np.diff(np.append(ev._grid_starts, ev._grid_slots.size))
+    assert sorted(np.repeat(ev._grids, sizes).tolist()) == sorted(ev._idx.tolist())
     assert_kernel_matches(ev, probe_block(ev, rng, rows))
     assert_kernel_matches(ev, sweep_block(ev))
 
@@ -815,9 +829,15 @@ ev = CoverageEvaluator(sensors, field)
 angles = np.random.default_rng(0).uniform(0.0, 2 * math.pi, (100, 110))
 masks = [ev.covered_mask(a) for a in angles]
 subsets = [ev.sensed_subset(k % 110, a[k % 110]) for k, a in enumerate(angles)]
+# two 50-row blocks and one of 60 rows, which takes two bit-parallel passes
+blocks = [angles[:50], angles[50:], np.random.default_rng(1).uniform(0.0, 2 * math.pi, (60, 110))]
+values = [ev.fitness(b) for b in blocks]
 mismatches = []
 
 def work():
+    for k, b in enumerate(blocks):
+        if not np.array_equal(ev.fitness(b), values[k]):
+            mismatches.append(("fitness", k))
     for k, a in enumerate(angles):
         if not np.array_equal(ev.covered_mask(a), masks[k]):
             mismatches.append(("mask", k))
@@ -846,6 +866,42 @@ def test_one_evaluator_shared_by_threads_matches_serial_results():
     mismatches, alive = map(int, done.stdout.split())
     assert alive == 0
     assert mismatches == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_are_rejected_naming_row_and_sensor(headline, bad):
+    # a NaN or infinite angle used to select meaningless runs: the deployed
+    # rate 0.6394 became 0.6427 with a NaN at sensor 3
+    ev, deployed = headline
+    angles = deployed.copy()
+    angles[3] = bad
+    message = f"row 0: the angle of sensor 3 must be finite, got {bad}"
+    for evaluate in (ev.rate, ev.covered_mask):
+        with pytest.raises(ValueError, match=message):
+            evaluate(angles)
+    block = np.tile(deployed, (60, 1))
+    block[57, 108] = bad
+    with pytest.raises(ValueError, match="row 57: the angle of sensor 108 must be finite"):
+        ev.fitness(block)
+    with pytest.raises(ValueError, match="row 0: the angle of sensor 0 must be finite"):
+        ev.fitness(np.full((2, 110), bad))
+    value = ev.grid_count / ev.covered_count(deployed)
+    assert ev.fitness(np.tile(deployed, (2, 1))).tolist() == [value, value]
+
+
+def test_one_block_evaluation_allocates_under_two_megabytes(headline):
+    # a 50-row pass holds a few slot-sized arrays (about 0.8 MB in all); a
+    # large per-call temporary would show here, not as timing noise
+    ev, _ = headline
+    block = np.random.default_rng(3).uniform(0.0, TWO_PI, (50, 110))
+    ev.fitness(block)
+    tracemalloc.start()
+    try:
+        ev.fitness(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_covered_mask_needs_one_angle_per_sensor():
