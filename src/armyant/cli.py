@@ -138,10 +138,14 @@ def run_bench(spec):
     write_statistics_csv(stats, os.path.join(out, "statistics.csv"))
     for s in stats:
         for r, history in enumerate(s.histories):
-            write_trace_csv(
-                history,
-                os.path.join(out, f"trace_{s.algorithm}_{s.function}_{spec.base_seed + r}.csv"),
-            )
+            path = os.path.join(out, f"trace_{s.algorithm}_{s.function}_{spec.base_seed + r}.csv")
+            try:
+                write_trace_csv(history, path)
+            except OSError:
+                # the run still fails, but leaves no truncated trace behind
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+                raise
     return 0
 
 

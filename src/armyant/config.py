@@ -98,9 +98,11 @@ class ExperimentSpec:
 
 def _check_distinct(key, values):
     # a repeated entry would run, write and summarize the same runs twice
-    for i, value in enumerate(values):
-        if value in values[:i]:
+    seen = set()
+    for value in values:
+        if value in seen:
             raise ValueError(f"{key} lists {value!r} more than once")
+        seen.add(value)
 
 
 def parse_seed_list(text):

@@ -88,22 +88,55 @@ theta with pattern k in [0, S) lies in the interval exactly when
 L <= k <= H' or k + S <= H', and H' < L + S, so the second case has
 L > k.
 
-Sort each sensor's entries by (L, H'). When H' is then nondecreasing
-too, the entries with L <= k are a prefix [0, b) of the sensor's slice,
-those with H' >= k a suffix [a, n) and those with H' >= k + S a suffix
-[a2, n), which starts at or after b since its entries have L > k. So the
-sensed entries are the two runs [a, b) and [a2, n), with b = #(L <= k),
-a = #(H' < k) <= b (as H' >= L) and a2 = #(H' < k + S), each one binary
-search (``searchsorted``).
+Sort each sensor's entries by L, ties in candidate order. When H' is
+then nondecreasing too, the entries with L <= k are a prefix [0, b) of the
+sensor's slice, those with H' >= k a suffix [a, n) and those with
+H' >= k + S a suffix [a2, n), which starts at or after b since its
+entries have L > k. So the sensed entries are the two runs [a, b) and
+[a2, n), with b = #(L <= k), a = #(H' < k) <= b (as H' >= L) and
+a2 = #(H' < k + S).
 
 The order holds in exact arithmetic: a sensor's intervals all span its
 view angle, so H' rises with L (the bit patterns and the unwrapping are
 monotone maps of [0, 2P)). A full set, placed last, has the largest L
 and H' there are. Rounding moves a bound by a few ulps of P, so two
-entries whose lower bounds lie that close could swap their H'. The build
-does not rely on the order: it cuts a sensor's entries wherever H' falls
-and searches each stretch like a sensor (``_run_layout``). No sensor of
-the headline instances needs a cut.
+entries whose lower bounds lie that close, or are equal, could swap
+their H'. The build does not rely on the order: it cuts a sensor's
+entries wherever H' falls and treats each stretch, a segment, like a
+sensor (``_run_layout``). No sensor of the headline instances needs a cut.
+
+The three counts come from one lookup per segment and angle
+(``_RunLookup``), done for all segments and rows at once. Give each
+entry the upper key U = H + 1, the pattern of the double just past its
+upper bound, read on [1, S]: H' + 1 for an unwrapped interval, H' - S + 1
+for a wrapped one and S - 1 for a full set (H' - S + 1 too). The patterns
+are integers, so for an unwrapped entry H' < k exactly when U <= k, and
+for the others H' < k + S exactly when U <= k; every unwrapped entry has
+H' < S <= k + S. A segment's merged keys are its L and its U, sorted
+together. A U equal to S (an unwrapped bound at prev(P)) exceeds every k
+and would never count, so it is left out. Let p = #(keys <= k): the
+first p merged keys are exactly those at most k, whatever the order of
+equal keys. Among them, the lower bounds number b and the unwrapped
+entries' U number a. The other p - a - b are the wrapped and full
+entries with H' < k + S, to which a2 adds every unwrapped entry:
+a2 = p - a - b + #unwrapped. Two prefix-count tables over the merged
+keys give b and a at p.
+
+Finding p takes no search over the whole segment. Segment s puts an
+angle x in bucket floor(x * c_s), with c_s = fl(B_s / P) and B_s the
+power of two at or above its key count, so its buckets hold at most one
+key each on average. A key and a query land in their buckets by the same rounded
+product, and a product with a positive constant and the floor are both
+monotone, so every key in a lower bucket than theta lies below theta and
+every key in a higher one above it. A table of bucket starts gives the
+keys below theta's bucket. Only the keys in that bucket remain: a fixed
+number of halvings, set at build from the fullest bucket, counts those
+at most k. The halvings are branch-free arithmetic over all segments
+and rows, where a binary search would take one hard-to-predict branch
+per comparison (Khuong & Morin 2017, "Array layouts for
+comparison-based searching"). The key S, which exceeds every query,
+closes each segment, so an empty bucket's first position always holds a
+key above k.
 
 The rows of a block are then evaluated together, bit-parallel across
 rows in the manner of shift-or string matching (Baeza-Yates & Gonnet
@@ -125,7 +158,7 @@ bits. Cast to uint64, one in-place ``bitwise_xor.accumulate`` gives every
 entry its word. A ``bitwise_or.reduceat`` over the entries regrouped grid
 by grid (at build) gives one word per grid, and a 256-bin histogram of
 each of the words' eight bytes, times the bits of each byte value, gives
-each row's count of covered grids. Past the search, the cost of a pass
+each row's count of covered grids. Past the lookup, the cost of a pass
 follows the number of entries, not the rows times the sensed entries.
 """
 
@@ -405,11 +438,27 @@ _WORD = 53
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
 
+def _pairs(majors, minors):
+    """The complex numbers ``major + minor * 1j`` of the concatenated parts.
+
+    ``majors`` hold small non-negative integers and ``minors`` bit patterns
+    below S, which order like the doubles they encode. NumPy orders complex
+    numbers by real part, then imaginary part, so one stable sort of the
+    pairs (a timsort, quick on already sorted runs) orders by major, then
+    minor.
+    """
+    pairs = np.empty(sum(part.size for part in majors), dtype=complex)
+    np.concatenate(majors, out=pairs.real)
+    np.concatenate([part.view(np.float64) for part in minors], out=pairs.imag)
+    return pairs
+
+
 def _run_layout(lo, hi, counts):
-    """Order the entries for the run search of the module docstring.
+    """Order the entries for the run lookup of the module docstring.
 
     ``lo``/``hi`` are the entries' intervals, sensor by sensor, and
-    ``counts`` each sensor's entry count. Returns the entry order, the
+    ``counts`` each sensor's entry count. Returns the entry order (by
+    sensor, then unwrapped lower bound, ties in candidate order), the
     unwrapped pattern bounds ``start``/``end`` in that order, and the
     first entries, stops and sensors of the segments: the stretches of one
     sensor's entries along which ``end`` does not fall, so that both
@@ -422,13 +471,106 @@ def _run_layout(lo, hi, counts):
     start = np.where(full, _USPAN - 1, start)
     end = np.where(full, 2 * _USPAN - 2, end)
     owner = np.repeat(np.arange(counts.size), counts)
-    order = np.lexsort((end, start, owner))
+    order = np.argsort(_pairs([owner], [start]), kind="stable")
     owner, start, end = owner[order], start[order], end[order]
     # entry i starts a segment; the last flag closes the last segment
     starts = np.ones(owner.size + 1, dtype=bool)
     starts[1:-1] = (owner[1:] != owner[:-1]) | (end[1:] < end[:-1])
     bounds = np.flatnonzero(starts)
     return order, start, end, bounds[:-1], bounds[1:], owner[bounds[:-1]]
+
+
+class _RunLookup:
+    """Each segment's runs at any angle from one bucketed lookup (module docstring).
+
+    Built from ``_run_layout``'s unwrapped bounds ``start``/``end`` and its
+    segments ``first``/``stop`` without a loop over segments. Segment s
+    owns positions ``_base[s]`` on of the key arrays: its merged keys in
+    order, then the sentinel S, the pattern of 2*pi, which exceeds every
+    query. At position ``_base[s] + p``, ``_lower`` counts the lower bounds
+    among the segment's first p keys and ``_below`` its unwrapped upper
+    keys. The segment's bucket j starts at key position
+    ``_buckets[_bucket_first[s] + j]``; no bucket holds more than
+    ``2**_steps`` keys.
+    """
+
+    def __init__(self, start, end, first, stop):
+        m = first.size
+        segment = np.repeat(np.arange(m, dtype=np.int32), stop - first)
+        unwrapped = end < _USPAN
+        # H + 1: H' + 1, or H' - S + 1 for a wrapped interval or a full set
+        upper = end + np.uint64(1)
+        upper[~unwrapped] -= _USPAN
+        below = unwrapped & (upper < _USPAN)
+        count = stop - first
+        n_below, n_unwrapped = (np.bincount(segment[part], minlength=m) for part in (below, unwrapped))
+        # lower bounds, unwrapped upper keys, the other upper keys and the
+        # sentinels, each group already sorted by segment and key: the
+        # stable sort only merges four runs
+        pairs = _pairs(
+            [segment, segment[below], segment[~unwrapped], np.arange(m)],
+            [start, upper[below], upper[~unwrapped], np.full(m, _USPAN)],
+        )
+        del segment, upper
+        order = np.argsort(pairs, kind="stable")
+        self._keys = pairs.imag[order].view(np.uint64)
+        del pairs
+        size = 2 * count - n_unwrapped + n_below + 1
+        self._base = np.cumsum(size) - size
+        is_lower = order < start.size
+        self._lower = self._prefix(is_lower, count)
+        self._below = self._prefix(~is_lower & (order < start.size + n_below.sum()), n_below)
+        del order
+        self._offset = n_unwrapped - self._base
+        # B_s = 2**e buckets of equal angle for at least as many keys; the
+        # table runs to the sentinel's bucket floor(P * c_s), B_s or next to
+        # it after rounding. Keys are bucketed by the same product as queries
+        self._scale = np.ldexp(1.0, np.frexp(size - 2)[1]) / TWO_PI
+        buckets = (TWO_PI * self._scale).astype(np.intp) + 2
+        self._bucket_first = np.cumsum(buckets) - buckets
+        bucket = np.repeat(self._scale, size)
+        bucket *= self._keys.view(np.float64)
+        bucket = bucket.astype(np.intp)
+        bucket += np.repeat(self._bucket_first + 1, size)
+        filled = np.bincount(bucket, minlength=buckets.sum())
+        self._buckets = np.cumsum(filled, dtype=np.int32)
+        self._steps = int(np.frexp(filled.max(initial=1) - 1)[1])
+
+    def _prefix(self, counted, per_segment):
+        """Per key position, the counted keys before it in its segment.
+
+        ``per_segment`` holds each segment's count of counted keys; it
+        resets the running count where the next segment starts.
+        """
+        total = np.empty(counted.size, dtype=np.int32)
+        total[:1] = 0
+        total[1:] = counted[:-1]
+        total[self._base[1:]] = -per_segment[:-1]
+        return np.cumsum(total, out=total)
+
+    def runs(self, theta):
+        """The runs ``(a, a2, b)`` of every segment at angles in [0, 2*pi).
+
+        ``theta`` holds one row of angles per segment; each result has its
+        shape and counts entries from the segment's first.
+        """
+        k = theta.view(np.uint64)
+        at = (theta * self._scale[:, None]).astype(np.intp)
+        at += self._bucket_first[:, None]
+        width = self._buckets[1:].take(at)
+        at = self._buckets.take(at)
+        width -= at
+        # a fixed number of halvings, each keeping the half that holds the
+        # first key above k (Khuong & Morin 2017); an empty bucket's first
+        # position holds a key above k, or the sentinel
+        for _ in range(self._steps):
+            half = width >> 1
+            at += half * (self._keys.take(at + half) <= k)
+            width -= half
+        at += self._keys.take(at) <= k
+        b = self._lower.take(at)
+        a = self._below.take(at)
+        return a, at - a - b + self._offset[:, None], b
 
 
 def is_sensed(sensor, point):
@@ -486,18 +628,18 @@ class CoverageEvaluator:
     sensor and flattened. The build then turns each (sensor, grid) entry
     into the circular interval ``[lo, hi]`` of deviation angles at which
     the grid is sensed, and orders each sensor's entries so that the
-    entries sensed at any angle form two runs, found by binary search
-    (module docstring). Per entry, in candidate order, it keeps the grid
-    index ``_idx``, the interval ``_lo``/``_hi`` and the flag ``_in_order``
-    (``lo <= hi``; clear when the interval wraps past 2*pi), which
-    ``sensed_subset`` tests. For the bit-parallel pass it keeps, per
-    segment, its sensor, its unwrapped bounds, its first slot
-    ``_slot_first`` and its entry count ``_slot_count`` (a segment's gap
-    slot follows its last entry); and the entries' slots grouped grid by
-    grid, ``_grid_slots``, with each group's start ``_grid_starts`` and
-    grid ``_grids``. Nothing is written after the build: every evaluation
-    allocates its own arrays, so one evaluator may be shared by several
-    threads.
+    entries sensed at any angle form two runs of a segment, found by one
+    bucketed lookup (module docstring). Per entry, in candidate order, it
+    keeps the grid index ``_idx``, the interval ``_lo``/``_hi`` and the
+    flag ``_in_order`` (``lo <= hi``; clear when the interval wraps past
+    2*pi), which ``sensed_subset`` tests. For the bit-parallel pass it
+    keeps the segments' merged keys and tables ``_lookup``; per segment,
+    its sensor ``_segment_sensor``, its first slot ``_slot_first`` and its
+    entry count ``_slot_count`` (a segment's gap slot follows its last
+    entry); and the entries' slots grouped grid by grid, ``_grid_slots``,
+    with each group's start ``_grid_starts`` and grid ``_grids``. Nothing
+    is written after the build: every evaluation allocates its own arrays,
+    so one evaluator may be shared by several threads.
 
     ``per_sensor[i]`` holds views of sensor i's candidate grid indices,
     bearings and zero-distance flags.
@@ -513,11 +655,10 @@ class CoverageEvaluator:
         half = np.repeat([s.view_angle / 2.0 for s in sensors], self._counts)
         self._lo, self._hi = _sensing_intervals(bearing, half, zero)
         self._in_order = self._lo <= self._hi
-        order, start, end, first, stop, owners = _run_layout(self._lo, self._hi, self._counts)
-        self._segments = [
-            (j, start[a:b], end[a:b])
-            for j, a, b in zip(owners.tolist(), first.tolist(), stop.tolist())
-        ]
+        order, start, end, first, stop, self._segment_sensor = _run_layout(
+            self._lo, self._hi, self._counts
+        )
+        self._lookup = _RunLookup(start, end, first, stop)
         # segment s's entries take the slots from first + s on: one gap slot
         # follows each segment
         segment = np.arange(first.size)
@@ -552,29 +693,26 @@ class CoverageEvaluator:
     def _marks(self, block):
         """The slots that a checked block of at most 53 rows marks, and the weights.
 
-        Row i marks the start and the end of each of its non-empty runs with
-        2.0**i, as one flat array of slots and one of weights; a mark that
-        an empty run or a join of two runs drops has weight 0.0.
+        One lookup finds the runs of every segment and row (module
+        docstring). Row i marks the start and the end of each of its
+        non-empty runs with 2.0**i, as one flat array of slots and one of
+        weights; a mark that an empty run or a join of two runs drops has
+        weight 0.0.
         """
-        n, m = len(block), len(self._segments)
-        # the intervals hold for theta in [0, 2*pi), whose patterns k lie in
-        # [0, _SPAN); canonicalizing also makes 2*pi and 0 evaluate alike
-        keys = np.ascontiguousarray(canonicalize_angle(block).T).view(np.uint64)
-        shifted = np.concatenate([keys, keys + _USPAN], axis=1)
+        # the intervals hold for theta in [0, 2*pi); canonicalizing also makes
+        # 2*pi and 0 evaluate alike
+        theta = canonicalize_angle(block).T.take(self._segment_sensor, axis=0)
         # per segment and row, the runs [a, b) and [a2, count) as positions
-        # within the segment, stacked as a, a2, b, count
-        marks = np.empty((4, m, n), dtype=np.intp)
-        for s, (j, lo, hi) in enumerate(self._segments):
-            marks[:2, s] = hi.searchsorted(shifted[j]).reshape(2, n)
-            marks[2, s] = lo.searchsorted(keys[j], side="right")
-        marks[3] = self._slot_count[:, None]
-        a, a2, b, count = marks
+        # within the segment
+        a, a2, b = self._lookup.runs(theta)
+        count = np.broadcast_to(self._slot_count[:, None], a.shape)
         first_run = a < b  # a <= b: an entry with H' < k has L < k
         second_run = a2 < count
         joined = first_run & second_run & (b == a2)
         weights = np.stack([first_run, second_run ^ joined, first_run ^ joined, second_run])
+        marks = np.stack([a, a2, b, count])
         marks += self._slot_first[:, None]
-        return marks.ravel(), (weights * 2.0 ** np.arange(n)).ravel()
+        return marks.ravel(), (weights * 2.0 ** np.arange(len(block))).ravel()
 
     def _words(self, block):
         """Per grid of ``_grids``, the rows of a checked block that sense it.
@@ -623,9 +761,9 @@ class CoverageEvaluator:
         Full coverage scores 1.0, half coverage 2.0; zero coverage returns
         the finite sentinel grid_count**2 so the objective stays total.
         The block is evaluated in bit-parallel passes of up to 53 rows
-        (module docstring): each pass searches the runs sensor by sensor for
-        all its rows at once, then marks, XORs and ORs one word per entry
-        and per grid, whatever its number of rows. A non-finite angle raises
+        (module docstring): each pass looks up the runs of every segment and
+        row at once, then marks, XORs and ORs one word per entry and per
+        grid, whatever its number of rows. A non-finite angle raises
         ``ValueError`` naming its row and sensor.
         """
         block = np.asarray(angles, dtype=float)

@@ -538,6 +538,29 @@ def test_bench_run_accounting_and_determinism(tmp_path):
     assert tree_digest(out) == tree_digest(again)
 
 
+def test_bench_truncated_trace_is_removed(tmp_path, capsys, monkeypatch):
+    # the disk fills right after the header of the second random trace
+    real_trace = armyant.cli.write_trace_csv
+
+    def write_trace(history, path):
+        if Path(path).name == "trace_random_sphere_4.csv":
+            with open(path, "w") as fh:
+                fh.write("iter,best")
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_trace(history, path)
+
+    monkeypatch.setattr(armyant.cli, "write_trace_csv", write_trace)
+    config = write_config(tmp_path, TINY_BENCH)
+    out = tmp_path / "bench_out"
+    assert main(["bench", "run", "--config", config, "--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert not (out / "trace_random_sphere_4.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "statistics.csv", "trace_aaso_sphere_3.csv", "trace_aaso_sphere_4.csv",
+        "trace_random_sphere_3.csv",
+    ]
+
+
 def test_bench_statistics_recomputable_from_traces(tmp_path):
     config = write_config(tmp_path, TINY_BENCH)
     out = tmp_path / "bench_out"

@@ -182,6 +182,15 @@ def test_seed_and_list_values_rejected_at_parse_with_path(tmp_path, text, messag
         parse_config(path)
 
 
+def test_long_seed_lists_validate_in_one_pass(tmp_path):
+    # the repeat check compared each seed with every earlier one: 10,000
+    # seeds took 0.69 s and 200,000 would take minutes
+    spec = parse_config(write(tmp_path, "kind = cover\nseeds = 1..200000\n"))
+    assert len(spec.seeds) == 200_000
+    with pytest.raises(ValueError, match="seeds lists 77 more than once"):
+        ExperimentSpec(seeds=spec.seeds + (77,)).validate()
+
+
 def test_analyze_kind_rejected_at_parse_with_path(tmp_path):
     # only cover and bench read a config; armyant analyze takes flags
     path = write(tmp_path, "kind = analyze\n")

@@ -35,6 +35,7 @@ from armyant.coverage import (
     _in_interval,
     _in_sector,
     _reduce_angle,
+    _RunLookup,
     _run_layout,
     _sensed,
     _sensing_intervals,
@@ -739,7 +740,7 @@ def headline():
 
 def test_run_kernel_on_the_headline_instance(headline):
     ev, _ = headline
-    assert len(ev._segments) == 110  # no cuts: every sensor's bounds rise together
+    assert ev._segment_sensor.size == 110  # no cuts: every sensor's bounds rise together
     assert_kernel_matches(ev, probe_block(ev, np.random.default_rng(1), 50))
 
 
@@ -783,9 +784,15 @@ def test_run_kernel_cuts_where_upper_bounds_fall(seed, rows):
 
     with mock.patch("armyant.coverage._sensing_intervals", crafted):
         ev = CoverageEvaluator(sensors, RUN_FIELD)
-    for _, start, end in ev._segments:
-        assert np.all(start[1:] >= start[:-1]) and np.all(end[1:] >= end[:-1])
-    assert len(ev._segments) > np.count_nonzero(ev._counts)  # cuts were needed
+    # each segment's merged keys are sorted and end in the sentinel; each
+    # entry gives one lower key
+    keys, base = ev._lookup._keys, ev._lookup._base
+    stops = np.append(base[1:], keys.size)
+    sentinel = np.float64(TWO_PI).view(np.uint64)
+    for segment, stop, count in zip(np.split(keys, base[1:]), stops, ev._slot_count):
+        assert np.all(segment[1:] >= segment[:-1]) and segment[-1] == sentinel
+        assert ev._lookup._lower[stop - 1] == count
+    assert ev._segment_sensor.size > np.count_nonzero(ev._counts)  # cuts were needed
     # every entry has one slot, none of them a segment's gap slot, and its grid's group
     gaps = ev._slot_first + ev._slot_count
     assert sorted(ev._grid_slots.tolist() + gaps.tolist()) == list(range(ev._slots))
@@ -793,6 +800,49 @@ def test_run_kernel_cuts_where_upper_bounds_fall(seed, rows):
     assert sorted(np.repeat(ev._grids, sizes).tolist()) == sorted(ev._idx.tolist())
     assert_kernel_matches(ev, probe_block(ev, rng, rows))
     assert_kernel_matches(ev, sweep_block(ev))
+
+
+def lookup_intervals(rng, size):
+    """Intervals whose bounds repeat, crowd one bucket, wrap, fill the circle or sit
+    at 0 and just below 2*pi."""
+    pool = np.concatenate([
+        rng.uniform(0.0, TWO_PI, 4),
+        [0.0, LAST, np.spacing(0.0)],
+        1.0 + np.spacing(1.0) * np.arange(4),  # distinct keys one ulp apart
+    ])
+    lo, hi = rng.choice(pool, size), rng.choice(pool, size)
+    kind = rng.integers(0, 4, size)
+    lo[kind == 0], hi[kind == 0] = 0.0, LAST  # full set
+    hi[kind == 1] = before(lo[kind == 1])     # every angle, wrapped unless lo is 0
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bucketed_lookup_equals_the_three_searches(seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 30, int(rng.integers(1, 5)))
+    lo, hi = lookup_intervals(rng, counts.sum())
+    # one more sensor whose keys all lie within a few ulps of 2: one bucket
+    near = 2.0 + np.spacing(2.0) * np.sort(rng.integers(0, 6, 12))
+    lo, hi = np.append(lo, near), np.append(hi, near + np.spacing(2.0) * rng.integers(0, 3, 12))
+    counts = np.append(counts, 12)
+    _, start, end, first, stop, sensors = _run_layout(lo, hi, counts)
+    lookup = _RunLookup(start, end, first, stop)
+    bounds = np.concatenate([lo, hi, after(hi)])
+    probes = np.concatenate([bounds, before(bounds), after(bounds), [0.0, LAST, TWO_PI]])
+    theta = np.tile(canonicalize_angle(probes), (first.size, 1))
+    a, a2, b = lookup.runs(theta)
+    span = np.float64(TWO_PI).view(np.uint64)
+    k = theta.view(np.uint64)
+    for s, (f, e) in enumerate(zip(first, stop)):
+        assert np.array_equal(a[s], end[f:e].searchsorted(k[s]))
+        assert np.array_equal(a2[s], end[f:e].searchsorted(k[s] + span))
+        assert np.array_equal(b[s], start[f:e].searchsorted(k[s], side="right"))
+    # the last sensor's keys fill one bucket; the sentinel has its own
+    table = np.split(lookup._buckets, lookup._bucket_first[1:])
+    for s in np.flatnonzero(sensors == counts.size - 1):
+        assert np.count_nonzero(np.diff(table[s])) == 2
 
 
 # --- evaluator results are fresh and the evaluator is read-only -------------------------
@@ -902,6 +952,21 @@ def test_one_block_evaluation_allocates_under_two_megabytes(headline):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_headline_evaluator_retains_under_five_megabytes():
+    # the candidate entries and intervals take 2.87 MB; the lookup's merged
+    # keys, prefix counts and bucket tables add about 1.1 MB
+    field = CoverageField(500.0, 500.0, 5.0)
+    sensors = random_deployment(field, 110, 60.0, PI / 2, RandomSource(1))
+    tracemalloc.start()
+    try:
+        ev = CoverageEvaluator(sensors, field)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ev.grid_count == 10_000
+    assert retained < 2_870_000 + 2_500_000
 
 
 def test_covered_mask_needs_one_angle_per_sensor():
