@@ -75,9 +75,7 @@ reaching four ulps of P either side (non-negative doubles order like
 their bit patterns read as integers). Near theta = 0 an ulp of P spans
 many doubles; an entry whose bracket crosses 0 or misses its bound is
 bisected over all of [0, P) instead, branch by branch
-(``_bisect_intervals``). VFA's per-sensor update then tests lo <= theta
-<= hi, or theta >= lo or theta <= hi when lo > hi: two compares and two
-XORs (``_in_interval``).
+(``_bisect_intervals``).
 
 An evaluation of all sensors does not test the entries one by one. Read
 the bounds as their bit patterns L and H in [0, S), S being the pattern
@@ -94,7 +92,8 @@ sensor's slice, those with H' >= k a suffix [a, n) and those with
 H' >= k + S a suffix [a2, n), which starts at or after b since its
 entries have L > k. So the sensed entries are the two runs [a, b) and
 [a2, n), with b = #(L <= k), a = #(H' < k) <= b (as H' >= L) and
-a2 = #(H' < k + S).
+a2 = #(H' < k + S). Entry x of the slice is then sensed exactly when
+[x < b] - [x < a] - [x < a2] + 1 is 1; it is 0 otherwise.
 
 The order holds in exact arithmetic: a sensor's intervals all span its
 view angle, so H' rises with L (the bit patterns and the unwrapping are
@@ -104,6 +103,16 @@ entries whose lower bounds lie that close, or are equal, could swap
 their H'. The build does not rely on the order: it cuts a sensor's
 entries wherever H' falls and treats each stretch, a segment, like a
 sensor (``_run_layout``). No sensor of the headline instances needs a cut.
+
+VFA turns one sensor at a time. ``CoverageEvaluator.sensed_subset``
+finds that sensor's a, b and a2 by three binary searches per segment over
+the bounds in run order. The indicator above is a sum of three steps, at
+b, a and a2. So a turn from (a, b, a2) to (a', b', a2') changes only the
+entries between an old count and its new one: [x < b'] - [x < b] is +1
+on [b, b') and -1 on [b', b), and the steps at a and a2 enter with the
+opposite sign (``move_counts``). (0, 0, n) senses nothing, so the first
+pass moves the per-grid counts like any turn. The three slices may
+overlap; integer adds are exact, so their order does not matter.
 
 The three counts come from one lookup per segment and angle
 (``_RunLookup``), done for all segments and rows at once. Give each
@@ -164,6 +173,9 @@ follows the number of entries, not the rows times the sensed entries.
 
 import csv
 import math
+import struct
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -175,6 +187,18 @@ def canonicalize_angle(angle):
     """Reduce angles into [0, 2*pi); works on scalars and arrays."""
     out = np.mod(angle, TWO_PI)
     return np.where(out >= TWO_PI, 0.0, out)
+
+
+def _canonical_block(block):
+    """``canonicalize_angle(block)`` to the bit, without ``np.mod`` on [0, 2*pi].
+
+    On [0, 2*pi] ``np.mod`` changes only 2*pi, to 0.0, and -0.0, to +0.0;
+    adding +0.0 makes the same change to -0.0 and keeps every other double.
+    The optimizers' blocks lie there; any other block takes the general path.
+    """
+    if block.min(initial=0.0) >= 0.0 and block.max(initial=0.0) <= TWO_PI:
+        return np.where(block >= TWO_PI, 0.0, block + 0.0)
+    return canonicalize_angle(block)
 
 
 def canonicalize_scalar(angle):
@@ -287,6 +311,8 @@ _LAST = np.nextafter(TWO_PI, 0.0)
 # measured on random entries lie within two ulps of their estimates
 _REACH = 4 * np.spacing(TWO_PI)
 _CHUNK = 8192  # entries per interval build step
+# a double's bit pattern as a Python int, for ``sensed_subset``'s searches
+_DOUBLE, _UINT64 = struct.Struct("<d"), struct.Struct("<Q")
 
 
 def _sensed(bearing, half, upper, theta):
@@ -299,19 +325,6 @@ def _sensed(bearing, half, upper, theta):
     diff = bearing - theta
     _reduce_angle(diff)
     return (diff <= half) | (diff >= upper)
-
-
-def _in_interval(theta, lo, hi, in_order):
-    """Whether ``theta`` lies in the circular ``[lo, hi]``.
-
-    ``in_order`` is ``lo <= hi``. When it holds, one of ``theta >= lo`` and
-    ``theta <= hi`` always does, so XOR-ing their XOR with it gives their
-    AND; when the interval wraps, both cannot hold, so their XOR is their OR.
-    """
-    inside = theta >= lo
-    inside ^= theta <= hi
-    inside ^= in_order
-    return inside
 
 
 def _sensing_intervals(bearing, half, zero):
@@ -628,21 +641,24 @@ class CoverageEvaluator:
     sensor and flattened. The build then turns each (sensor, grid) entry
     into the circular interval ``[lo, hi]`` of deviation angles at which
     the grid is sensed, and orders each sensor's entries so that the
-    entries sensed at any angle form two runs of a segment, found by one
-    bucketed lookup (module docstring). Per entry, in candidate order, it
-    keeps the grid index ``_idx``, the interval ``_lo``/``_hi`` and the
-    flag ``_in_order`` (``lo <= hi``; clear when the interval wraps past
-    2*pi), which ``sensed_subset`` tests. For the bit-parallel pass it
-    keeps the segments' merged keys and tables ``_lookup``; per segment,
-    its sensor ``_segment_sensor``, its first slot ``_slot_first`` and its
-    entry count ``_slot_count`` (a segment's gap slot follows its last
-    entry); and the entries' slots grouped grid by grid, ``_grid_slots``,
-    with each group's start ``_grid_starts`` and grid ``_grids``. Nothing
-    is written after the build: every evaluation allocates its own arrays,
-    so one evaluator may be shared by several threads.
+    entries sensed at any angle form two runs of a segment (module
+    docstring). It keeps the entries' grid indices ``_idx`` in candidate
+    order. For ``sensed_subset`` it keeps the unwrapped bound patterns L
+    and H' in run order, ``_run_lower``/``_run_upper`` (two flat uint64
+    arrays), and per sensor its segments' grid indices in run order with
+    their positions in those arrays, ``_segments``. For the bit-parallel
+    pass it keeps the segments' merged keys and tables ``_lookup``; per
+    segment, its sensor ``_segment_sensor``, its first slot
+    ``_slot_first`` and its entry count ``_slot_count`` (a segment's gap
+    slot follows its last entry); and the entries' slots grouped grid by
+    grid, ``_grid_slots``, with each group's start ``_grid_starts`` and
+    grid ``_grids``. Nothing is written after the build: every evaluation
+    allocates its own arrays, so one evaluator may be shared by several
+    threads.
 
     ``per_sensor[i]`` holds views of sensor i's candidate grid indices,
-    bearings and zero-distance flags.
+    bearings and zero-distance flags, and ``run_grids[i]`` views of its
+    grid indices in run order, one per segment.
     """
 
     def __init__(self, sensors, field):
@@ -650,15 +666,21 @@ class CoverageEvaluator:
         self.grid_count = field.grid_count
         self._idx, bearing, zero, self._counts = _candidate_entries(sensors, field)
         ends = np.cumsum(self._counts).tolist()
-        self._parts = [slice(e - c, e) for c, e in zip(self._counts.tolist(), ends)]
-        self.per_sensor = [(self._idx[p], bearing[p], zero[p]) for p in self._parts]
+        parts = [slice(e - c, e) for c, e in zip(self._counts.tolist(), ends)]
+        self.per_sensor = [(self._idx[p], bearing[p], zero[p]) for p in parts]
         half = np.repeat([s.view_angle / 2.0 for s in sensors], self._counts)
-        self._lo, self._hi = _sensing_intervals(bearing, half, zero)
-        self._in_order = self._lo <= self._hi
-        order, start, end, first, stop, self._segment_sensor = _run_layout(
-            self._lo, self._hi, self._counts
-        )
+        lo, hi = _sensing_intervals(bearing, half, zero)
+        order, start, end, first, stop, self._segment_sensor = _run_layout(lo, hi, self._counts)
+        del lo, hi  # freed before the lookup's sort, which sets the build's peak
         self._lookup = _RunLookup(start, end, first, stop)
+        # bisect reads these as Python ints as fast as it reads a list
+        self._run_lower, self._run_upper = array("Q", start.tobytes()), array("Q", end.tobytes())
+        del start, end
+        run_grids = self._idx[order]
+        self._segments = [[] for _ in sensors]
+        for f, e, sensor in zip(first.tolist(), stop.tolist(), self._segment_sensor.tolist()):
+            self._segments[sensor].append((run_grids[f:e], f, e))
+        self.run_grids = [[grids for grids, _, _ in segments] for segments in self._segments]
         # segment s's entries take the slots from first + s on: one gap slot
         # follows each segment
         segment = np.arange(first.size)
@@ -666,18 +688,28 @@ class CoverageEvaluator:
         self._slot_count = stop - first
         self._slots = self._idx.size + first.size
         slot = np.arange(self._idx.size) + np.repeat(segment, self._slot_count)
-        grids = self._idx[order]
-        by_grid = np.argsort(grids, kind="stable")
-        grids = grids[by_grid]
+        by_grid = np.argsort(run_grids, kind="stable")
+        grids = run_grids[by_grid]
         self._grid_slots = slot[by_grid]
         self._grid_starts = np.flatnonzero(np.diff(grids, prepend=-1))
         self._grids = grids[self._grid_starts]
 
     def sensed_subset(self, sensor_index, theta):
-        """Mask over sensor_index's candidate grids sensed at angle theta."""
-        theta = canonicalize_scalar(theta)
-        part = self._parts[sensor_index]
-        return _in_interval(theta, self._lo[part], self._hi[part], self._in_order[part])
+        """Sensor sensor_index's grids sensed at angle theta, as runs.
+
+        One tuple ``(grids, a, b, a2)`` per segment of the sensor: ``grids``
+        holds the segment's grid indices in run order, and the sensed ones
+        are ``grids[a:b]`` and ``grids[a2:]`` (module docstring). Three
+        binary searches per segment find a, b and a2.
+        """
+        k = _UINT64.unpack(_DOUBLE.pack(canonicalize_scalar(theta)))[0]
+        k2 = k + _SPAN
+        lower, upper = self._run_lower, self._run_upper
+        return [
+            (grids, bisect_left(upper, k, f, e) - f, bisect_right(lower, k, f, e) - f,
+             bisect_left(upper, k2, f, e) - f)
+            for grids, f, e in self._segments[sensor_index]
+        ]
 
     def _check(self, block):
         """Reject a block that is not (n, sensors) or holds a non-finite angle."""
@@ -701,7 +733,7 @@ class CoverageEvaluator:
         """
         # the intervals hold for theta in [0, 2*pi); canonicalizing also makes
         # 2*pi and 0 evaluate alike
-        theta = canonicalize_angle(block).T.take(self._segment_sensor, axis=0)
+        theta = _canonical_block(block).T.take(self._segment_sensor, axis=0)
         # per segment and row, the runs [a, b) and [a2, count) as positions
         # within the segment
         a, a2, b = self._lookup.runs(theta)
@@ -776,6 +808,29 @@ class CoverageEvaluator:
             covered = counts > 0
             values[first : first + _WORD][covered] = self.grid_count / counts[covered]
         return values
+
+
+def move_counts(counts, old, new):
+    """Move one sensor's sensed grids in ``counts`` from the runs ``old`` to ``new``.
+
+    ``old`` and ``new`` are ``sensed_subset`` results of the same sensor;
+    ``(grids, 0, 0, grids.size)`` senses nothing. Only the entries between
+    an old bound and its new one are touched (module docstring).
+    """
+    for (grids, a, b, a2), (_, a0, b0, a20) in zip(new, old):
+        # [x < b] - [x < a] - [x < a2] + 1: the count rises with b, falls with a and a2
+        if b > b0:
+            counts[grids[b0:b]] += 1
+        elif b < b0:
+            counts[grids[b:b0]] -= 1
+        if a > a0:
+            counts[grids[a0:a]] -= 1
+        elif a < a0:
+            counts[grids[a:a0]] += 1
+        if a2 > a20:
+            counts[grids[a20:a2]] -= 1
+        elif a2 < a20:
+            counts[grids[a2:a20]] += 1
 
 
 def coverage(sensors, field):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import optimizer
 from .baselines import pso_run
-from .coverage import TWO_PI, CoverageEvaluator, canonicalize_angle
+from .coverage import TWO_PI, CoverageEvaluator, canonicalize_angle, move_counts
 from .space import SearchSpace
 
 # virtual-force rotation (``enhance_vfa``); the attraction torque has weight one
@@ -92,15 +92,15 @@ def _wrap_signed(angle):
     return out
 
 
-def _pull(cos, sin, theta):
+def _pull(cos_sin, theta):
     """Signed turn in (-pi, pi] from ``theta`` toward the mean direction of the
-    unit vectors ``(cos, sin)``; 0.0 when they sum to zero (or there are none).
+    unit vectors whose cosines and sines are the rows of ``cos_sin``; 0.0 when
+    they sum to zero (or there are none).
 
-    ``np.add.reduce`` is the pairwise sum that ``np.sum`` runs, without its
-    Python wrapper.
+    ``np.add.reduce`` along a row is the pairwise sum that ``np.sum`` runs
+    on that row alone, without its Python wrapper.
     """
-    x = np.add.reduce(cos)
-    y = np.add.reduce(sin)
+    x, y = np.add.reduce(cos_sin, axis=1).tolist()
     if x == 0.0 and y == 0.0:
         return 0.0
     return _wrap_signed(math.atan2(y, x) - theta)
@@ -114,17 +114,20 @@ def enhance_vfa(sensors, field, max_iters):
     torque, of weight ``REPULSION_WEIGHT``, away from the mean sensing
     direction of neighbors within ``NEIGHBOR_RADIUS_FACTOR`` times the
     range. It rotates by ``ROTATION_STEP`` in the sign of the weighted sum.
-    Sensors update sequentially with incremental per-grid coverage counts,
-    so only the rotated sensor's candidate grids are re-tested.
-    ``evaluations`` counts per-sensor sector recomputations.
+    Sensors update sequentially with incremental per-grid coverage counts:
+    a rotation finds the sensor's runs with ``sensed_subset`` and touches
+    only the grids of the entries whose bounds it crossed
+    (``coverage.move_counts``). ``evaluations`` counts these per-sensor
+    sector recomputations, one ``sensed_subset`` call each.
 
     Precomputed once per run: each sensor's neighbor list, and the cosines
     and sines of the bearings of its candidate grids (grids at the sensor's
-    own position, which exert no pull, left out). The cosines and sines of
-    the sensors' deviations are kept in two arrays, and a sensor's entries
-    are updated when it rotates. ``np.cos`` and ``np.sin`` act element by
-    element, so selecting from these arrays gives the doubles that the
-    functions would give on the selected angles.
+    own position, which exert no pull, left out), stacked as a (2, m)
+    array. The cosines and sines of the sensors' deviations are kept in one
+    (2, n) array, and a sensor's column is updated when it rotates.
+    ``np.cos`` and ``np.sin`` act element by element, so selecting from
+    these arrays gives the doubles that the functions would give on the
+    selected angles.
     """
     sensors = list(sensors)
     if not sensors:
@@ -136,7 +139,7 @@ def enhance_vfa(sensors, field, max_iters):
     # Python floats: their ``%`` is np.mod's (see ``canonicalize_scalar``)
     # and their scalar arithmetic is cheaper than NumPy's
     thetas = [s.deviation for s in sensors]
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    cos_sin_t = np.stack([np.cos(thetas), np.sin(thetas)])
 
     neighbor_lists = []
     positions = np.array([[s.x, s.y] for s in sensors])
@@ -148,16 +151,16 @@ def enhance_vfa(sensors, field, max_iters):
     grid_pulls = []
     for idx, bearing, zero in evaluator.per_sensor:
         away = ~zero
-        grid_pulls.append((idx[away], np.cos(bearing[away]), np.sin(bearing[away])))
+        grid_pulls.append((idx[away], np.stack([np.cos(bearing[away]), np.sin(bearing[away])])))
 
     counts = np.zeros(field.grid_count, dtype=np.int32)
-    sensed = [np.empty(0, dtype=np.intp)] * n
+    runs = [[(grids, 0, 0, grids.size) for grids in segments] for segments in evaluator.run_grids]
 
     def sense(i):
         # move sensor i's grids in ``counts`` to those it senses at thetas[i]
-        counts[sensed[i]] -= 1
-        sensed[i] = evaluator.per_sensor[i][0][evaluator.sensed_subset(i, thetas[i])]
-        counts[sensed[i]] += 1
+        new = evaluator.sensed_subset(i, thetas[i])
+        move_counts(counts, runs[i], new)
+        runs[i] = new
 
     for i in range(n):
         sense(i)
@@ -169,17 +172,17 @@ def enhance_vfa(sensors, field, max_iters):
     curve = [best_rate]
 
     for _ in range(max_iters):
-        for i, ((idx, cos_b, sin_b), neighbors) in enumerate(zip(grid_pulls, neighbor_lists)):
+        for i, ((idx, cos_sin_b), neighbors) in enumerate(zip(grid_pulls, neighbor_lists)):
             theta = thetas[i]
-            uncovered = counts[idx] == 0
-            attraction = _pull(cos_b[uncovered], sin_b[uncovered], theta)
-            repulsion = _pull(cos_t[neighbors], sin_t[neighbors], theta)
+            attraction = _pull(cos_sin_b.compress(counts[idx] == 0, axis=1), theta)
+            repulsion = _pull(cos_sin_t.take(neighbors, axis=1), theta)
             torque = attraction - REPULSION_WEIGHT * repulsion
             if torque == 0.0:
                 continue
             step = ROTATION_STEP if torque > 0.0 else -ROTATION_STEP
             thetas[i] = theta = (theta + step) % TWO_PI
-            cos_t[i], sin_t[i] = np.cos(theta), np.sin(theta)
+            cos_sin_t[0, i] = np.cos(theta)
+            cos_sin_t[1, i] = np.sin(theta)
             sense(i)
             evaluations += 1
 

@@ -27,12 +27,13 @@ from armyant.coverage import (
     random_deployment,
     read_deployment,
     required_nodes,
+    move_counts,
     with_deviations,
     write_deployment,
     _CHUNK,
     _bisect_intervals,
     _bound,
-    _in_interval,
+    _canonical_block,
     _in_sector,
     _reduce_angle,
     _RunLookup,
@@ -420,6 +421,22 @@ def test_canonicalize_scalar_is_canonicalize_angle_to_the_bit(x):
     assert np.float64(got).view(np.int64) == np.float64(canonicalize_angle(x)).view(np.int64)
 
 
+def test_canonical_block_is_canonicalize_angle_to_the_bit():
+    edges = [0.0, -0.0, float(np.nextafter(TWO_PI, 0.0)), TWO_PI, PI, 1e-300]
+    inside = np.concatenate([edges, np.random.default_rng(4).uniform(0.0, TWO_PI, 94)]).reshape(4, 25)
+    # on [0, 2*pi] the fast path runs, without np.mod
+    with mock.patch("armyant.coverage.canonicalize_angle", side_effect=AssertionError):
+        fast = _canonical_block(inside)
+    assert np.array_equal(fast.view(np.int64), canonicalize_angle(inside).view(np.int64))
+    assert fast[0, :4].view(np.int64).tolist() == [0, 0, np.nextafter(TWO_PI, 0.0).view(np.int64), 0]
+    for outlier in (np.nextafter(TWO_PI, 7.0), -1e-300, -PI, 7.0):
+        block = inside.copy()
+        block[2, 7] = outlier  # one angle out of range: the general path
+        got = _canonical_block(block)
+        assert np.array_equal(got.view(np.int64), canonicalize_angle(block).view(np.int64))
+    assert _canonical_block(np.zeros((1, 0))).shape == (1, 0)
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 10_000))
 def test_evaluator_matches_oneshot_coverage(seed):
@@ -512,9 +529,10 @@ def test_evaluator_boundary_cases_match_reference(view_angle, theta):
     for i, sensor in enumerate(with_deviations(sensors, angles)):
         idx = ev.per_sensor[i][0]
         expected = [is_sensed(sensor, LATTICE.centroids[g]) for g in idx]
-        assert ev.sensed_subset(i, theta).tolist() == expected
+        assert subset_grids(ev, i, theta) == sorted(idx[expected].tolist())
     if view_angle == 2 * PI:
-        assert all(ev.sensed_subset(i, theta).all() for i in range(len(sensors)))
+        assert all(subset_grids(ev, i, theta) == sorted(ev.per_sensor[i][0].tolist())
+                   for i in range(len(sensors)))
 
 
 def test_evaluator_zero_distance_entry_is_sensed_backwards():
@@ -524,7 +542,7 @@ def test_evaluator_zero_distance_entry_is_sensed_backwards():
     assert zero.tolist().count(True) == 1
     for theta in (0.0, PI, 4.0):
         assert ev.covered_mask([theta])[idx[zero]].all()
-        assert ev.sensed_subset(0, theta)[zero].all()
+        assert set(idx[zero].tolist()) <= set(subset_grids(ev, 0, theta))
 
 
 # --- exact sensing intervals (module docstring) -------------------------------------
@@ -537,7 +555,23 @@ HALF_ANGLES = st.one_of(
 
 
 def interval_test(theta, lo, hi):
-    return _in_interval(theta, lo, hi, lo <= hi)
+    """Whether theta lies in the circular [lo, hi], which wraps past 2*pi when lo > hi."""
+    return np.where(lo <= hi, (theta >= lo) & (theta <= hi), (theta >= lo) | (theta <= hi))
+
+
+def grids_of(runs):
+    """The grid indices held by a ``sensed_subset`` result, sorted."""
+    return sorted(g for grids, a, b, a2 in runs for g in [*grids[a:b].tolist(), *grids[a2:].tolist()])
+
+
+def subset_grids(ev, i, theta):
+    return grids_of(ev.sensed_subset(i, theta))
+
+
+def entry_intervals(ev, halves):
+    """Per sensor, its entries' intervals in candidate order, from its half view angle."""
+    return [_sensing_intervals(bearing, half, zero)
+            for (_, bearing, zero), half in zip(ev.per_sensor, halves)]
 
 
 def before(theta):
@@ -636,18 +670,20 @@ def test_covered_mask_matches_reduction_at_interval_bounds():
     field = CoverageField(150, 150, 5)
     sensors = random_deployment(field, 12, 35.0, 1.3, RandomSource(17))
     ev = CoverageEvaluator(sensors, field)
+    intervals = entry_intervals(ev, [s.view_angle / 2.0 for s in sensors])
     rng = np.random.default_rng(17)
-    for pick in (ev._lo, ev._hi, before(ev._lo), after(ev._hi), None):
+    for pick in (lambda lo, hi: lo, lambda lo, hi: hi,
+                 lambda lo, hi: before(lo), lambda lo, hi: after(hi), None):
         if pick is None:
             angles = rng.uniform(0.0, TWO_PI, len(sensors))
         else:  # each sensor sits on a bound of one of its entries
-            angles = np.array([pick[rng.integers(p.start, p.stop)] for p in ev._parts])
+            angles = np.array([pick(lo, hi)[rng.integers(lo.size)] for lo, hi in intervals])
         expected = np.zeros(field.grid_count, dtype=bool)
         for i, (idx, bearing, zero) in enumerate(ev.per_sensor):
             half = sensors[i].view_angle / 2.0
             sensed = zero | _sensed(bearing, half, TWO_PI - half, angles[i])
             expected[idx[sensed]] = True
-            assert np.array_equal(ev.sensed_subset(i, angles[i]), sensed)
+            assert subset_grids(ev, i, angles[i]) == sorted(idx[sensed].tolist())
         assert np.array_equal(ev.covered_mask(angles), expected)
 
 
@@ -659,44 +695,45 @@ RUN_VIEWS = [1e-9, PI / 2, PI, 2 * PI - 1e-12, 2 * PI]
 BLOCK_ROWS = [0, 1, 25, 50, 52, 53, 54, 107]
 
 
-def reference_masks(ev, block):
-    """Per row, the grids of the entries whose interval holds the canonical angle."""
+def reference_masks(ev, intervals, block):
+    """Per row, the grids of the entries whose interval holds the canonical angle.
+
+    ``intervals`` holds each sensor's entry intervals, in candidate order.
+    """
     masks = np.zeros((len(block), ev.grid_count), dtype=bool)
     for i, row in enumerate(block):
-        for j, part in enumerate(ev._parts):
+        for j, ((idx, _, _), (lo, hi)) in enumerate(zip(ev.per_sensor, intervals)):
             theta = canonicalize_angle(row[j])
-            sensed = _in_interval(theta, ev._lo[part], ev._hi[part], ev._in_order[part])
-            masks[i, ev._idx[part][sensed]] = True
+            masks[i, idx[interval_test(theta, lo, hi)]] = True
     return masks
 
 
-def probe_pools(ev):
+def probe_pools(intervals):
     """Per sensor, its interval bounds, their outer neighbours and the circle's ends,
     also as negative angles and angles above 2*pi."""
     return [
         np.concatenate([
-            ev._lo[part], ev._hi[part], before(ev._lo[part]), after(ev._hi[part]),
-            ev._lo[part] + TWO_PI, -ev._hi[part],
+            lo, hi, before(lo), after(hi), lo + TWO_PI, -hi,
             [0.0, TWO_PI, LAST, -0.0, -1.0, -TWO_PI, 7.0, 3 * TWO_PI + 0.5],
         ])
-        for part in ev._parts
+        for lo, hi in intervals
     ]
 
 
-def probe_block(ev, rng, rows):
+def probe_block(intervals, rng, rows):
     """Rows of angles drawn from each sensor's probe pool."""
-    return np.column_stack([rng.choice(pool, rows) for pool in probe_pools(ev)])
+    return np.column_stack([rng.choice(pool, rows) for pool in probe_pools(intervals)])
 
 
-def sweep_block(ev):
+def sweep_block(intervals):
     """Rows that reach every angle of every sensor's probe pool."""
-    pools = probe_pools(ev)
+    pools = probe_pools(intervals)
     rows = max(pool.size for pool in pools)
     return np.column_stack([np.resize(pool, rows) for pool in pools])
 
 
-def assert_kernel_matches(ev, block):
-    expected = reference_masks(ev, block)
+def assert_kernel_matches(ev, intervals, block):
+    expected = reference_masks(ev, intervals, block)
     counts = expected.sum(axis=1)
     with np.errstate(divide="ignore"):
         values = np.where(counts > 0, ev.grid_count / counts, float(ev.grid_count**2))
@@ -723,11 +760,12 @@ def test_run_kernel_equals_interval_test_and_naive_coverage(seed, rows):
     sensors.insert(int(rng.integers(len(sensors) + 1)), Sensor(5.0, 5.0, 0.5, PI / 2))  # no candidate
     ev = CoverageEvaluator(sensors, RUN_FIELD)
     assert ev._counts.min() == 0
-    block = probe_block(ev, rng, rows)
-    expected = assert_kernel_matches(ev, block)
+    intervals = entry_intervals(ev, [s.view_angle / 2.0 for s in sensors])
+    block = probe_block(intervals, rng, rows)
+    expected = assert_kernel_matches(ev, intervals, block)
     for row, mask in zip(block, expected):
         assert np.array_equal(coverage_naive(with_deviations(sensors, row), RUN_FIELD).covered, mask)
-    assert_kernel_matches(ev, sweep_block(ev))
+    assert_kernel_matches(ev, intervals, sweep_block(intervals))
 
 
 @pytest.fixture(scope="module")
@@ -741,7 +779,8 @@ def headline():
 def test_run_kernel_on_the_headline_instance(headline):
     ev, _ = headline
     assert ev._segment_sensor.size == 110  # no cuts: every sensor's bounds rise together
-    assert_kernel_matches(ev, probe_block(ev, np.random.default_rng(1), 50))
+    intervals = entry_intervals(ev, np.full(110, PI / 4))
+    assert_kernel_matches(ev, intervals, probe_block(intervals, np.random.default_rng(1), 50))
 
 
 def test_run_layout_unwraps_puts_full_sets_last_and_cuts_where_ends_fall():
@@ -779,11 +818,17 @@ def test_run_kernel_cuts_where_upper_bounds_fall(seed, rows):
     sensors = [Sensor(30.0, 30.0, 20.0, PI / 2), Sensor(12.0, 40.0, 0.5, PI),
                Sensor(40.0, 17.5, 15.0, PI / 3)]
 
+    built = []
+
     def crafted(bearing, half, zero):
-        return crafted_intervals(rng, len(bearing))
+        built.append(crafted_intervals(rng, len(bearing)))
+        return built[-1]
 
     with mock.patch("armyant.coverage._sensing_intervals", crafted):
         ev = CoverageEvaluator(sensors, RUN_FIELD)
+    (lo, hi), = built
+    cuts = np.cumsum(ev._counts)[:-1]
+    intervals = list(zip(np.split(lo, cuts), np.split(hi, cuts)))
     # each segment's merged keys are sorted and end in the sentinel; each
     # entry gives one lower key
     keys, base = ev._lookup._keys, ev._lookup._base
@@ -798,8 +843,8 @@ def test_run_kernel_cuts_where_upper_bounds_fall(seed, rows):
     assert sorted(ev._grid_slots.tolist() + gaps.tolist()) == list(range(ev._slots))
     sizes = np.diff(np.append(ev._grid_starts, ev._grid_slots.size))
     assert sorted(np.repeat(ev._grids, sizes).tolist()) == sorted(ev._idx.tolist())
-    assert_kernel_matches(ev, probe_block(ev, rng, rows))
-    assert_kernel_matches(ev, sweep_block(ev))
+    assert_kernel_matches(ev, intervals, probe_block(intervals, rng, rows))
+    assert_kernel_matches(ev, intervals, sweep_block(intervals))
 
 
 def lookup_intervals(rng, size):
@@ -845,6 +890,78 @@ def test_bucketed_lookup_equals_the_three_searches(seed):
         assert np.count_nonzero(np.diff(table[s])) == 2
 
 
+# --- VFA's run deltas (module docstring) ------------------------------------------------
+
+STEP = PI / 90  # enhance.ROTATION_STEP
+
+
+def recount(ev, sensed, thetas):
+    """Per grid, the sensors among the first len(thetas) that sense it.
+
+    ``sensed(j, theta)`` masks sensor j's candidate grids at a canonical angle.
+    """
+    counts = np.zeros(ev.grid_count, dtype=np.int64)
+    for j, theta in enumerate(thetas):
+        np.add.at(counts, ev.per_sensor[j][0][sensed(j, canonicalize_scalar(theta))], 1)
+    return counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_run_deltas_keep_counts_equal_to_a_recount(seed, cut):
+    rng = np.random.default_rng(seed)
+    sensors = []
+    for _ in range(int(rng.integers(1, 6))):
+        if rng.uniform() < 0.5:  # on a centroid: a zero-distance entry
+            x, y = 2.5 + 5 * rng.integers(0, 12, 2)
+        else:
+            x, y = rng.uniform(0.0, 60.0, 2)
+        sensors.append(Sensor(x, y, rng.uniform(3.0, 30.0), RUN_VIEWS[rng.integers(len(RUN_VIEWS))]))
+    if cut:  # crafted intervals, so that sensors have several segments
+        built = []
+
+        def crafted(bearing, half, zero):
+            built.append(crafted_intervals(rng, len(bearing)))
+            return built[-1]
+
+        with mock.patch("armyant.coverage._sensing_intervals", crafted):
+            ev = CoverageEvaluator(sensors, RUN_FIELD)
+        (lo, hi), = built
+        intervals = list(zip(*(np.split(bound, np.cumsum(ev._counts)[:-1]) for bound in (lo, hi))))
+
+        def sensed(j, theta):
+            return interval_test(theta, *intervals[j])
+    else:
+        ev = CoverageEvaluator(sensors, RUN_FIELD)
+
+        def sensed(j, theta):
+            _, bearing, zero = ev.per_sensor[j]
+            half = sensors[j].view_angle / 2.0
+            return zero | _sensed(bearing, half, TWO_PI - half, theta)
+
+    counts = np.zeros(ev.grid_count, dtype=np.int32)
+    runs = [[(grids, 0, 0, grids.size) for grids in segments] for segments in ev.run_grids]
+
+    def sense(i):
+        new = ev.sensed_subset(i, thetas[i])
+        move_counts(counts, runs[i], new)
+        runs[i] = new
+
+    # start next to 0 and 2*pi, so that the steps cross them
+    thetas = rng.choice([0.0, STEP / 2, LAST, TWO_PI - STEP / 3, TWO_PI], len(sensors)).tolist()
+    for i in range(len(sensors)):  # the first pass starts from (0, 0, n)
+        sense(i)
+        assert np.array_equal(counts, recount(ev, sensed, thetas[: i + 1]))
+    jumps = [0.0, -0.0, LAST, TWO_PI, PI, 7.0, -1.0]
+    for i in rng.integers(0, len(sensors), 80).tolist():
+        if rng.uniform() < 0.25:  # an arbitrary jump
+            thetas[i] = float(rng.choice(jumps)) if rng.uniform() < 0.5 else rng.uniform(0.0, TWO_PI)
+        else:  # one rotation step, as VFA takes it
+            thetas[i] = (thetas[i] + (STEP if rng.uniform() < 0.5 else -STEP)) % TWO_PI
+        sense(i)
+        assert np.array_equal(counts, recount(ev, sensed, thetas))
+
+
 # --- evaluator results are fresh and the evaluator is read-only -------------------------
 
 def test_covered_mask_result_survives_later_calls():
@@ -854,12 +971,12 @@ def test_covered_mask_result_survives_later_calls():
     first = ev.covered_mask(np.zeros(6))
     snapshot = first.copy()
     subset = ev.sensed_subset(0, 0.0)
-    subset_snapshot = subset.copy()
+    subset_snapshot = grids_of(subset)
     second = ev.covered_mask(np.full(6, PI))
     ev.sensed_subset(0, PI)
     assert not np.array_equal(first, second)
     assert np.array_equal(first, snapshot)
-    assert np.array_equal(subset, subset_snapshot)
+    assert grids_of(subset) == subset_snapshot
 
     result = coverage(sensors, field)
     kept = result.covered.copy()
@@ -878,7 +995,11 @@ sensors = random_deployment(field, 110, 60.0, math.pi / 2, RandomSource(1))
 ev = CoverageEvaluator(sensors, field)
 angles = np.random.default_rng(0).uniform(0.0, 2 * math.pi, (100, 110))
 masks = [ev.covered_mask(a) for a in angles]
-subsets = [ev.sensed_subset(k % 110, a[k % 110]) for k, a in enumerate(angles)]
+
+def grids_of(runs):
+    return sorted(g for grids, a, b, a2 in runs for g in [*grids[a:b].tolist(), *grids[a2:].tolist()])
+
+subsets = [grids_of(ev.sensed_subset(k % 110, a[k % 110])) for k, a in enumerate(angles)]
 # two 50-row blocks and one of 60 rows, which takes two bit-parallel passes
 blocks = [angles[:50], angles[50:], np.random.default_rng(1).uniform(0.0, 2 * math.pi, (60, 110))]
 values = [ev.fitness(b) for b in blocks]
@@ -891,7 +1012,7 @@ def work():
     for k, a in enumerate(angles):
         if not np.array_equal(ev.covered_mask(a), masks[k]):
             mismatches.append(("mask", k))
-        if not np.array_equal(ev.sensed_subset(k % 110, a[k % 110]), subsets[k]):
+        if grids_of(ev.sensed_subset(k % 110, a[k % 110])) != subsets[k]:
             mismatches.append(("subset", k))
 
 sys.setswitchinterval(1e-6)
@@ -955,8 +1076,9 @@ def test_one_block_evaluation_allocates_under_two_megabytes(headline):
 
 
 def test_headline_evaluator_retains_under_five_megabytes():
-    # the candidate entries and intervals take 2.87 MB; the lookup's merged
-    # keys, prefix counts and bucket tables add about 1.1 MB
+    # the candidate entries, their bounds and grids in run order and the slot
+    # arrays take about 2.4 MB; the lookup's merged keys, prefix counts and
+    # bucket tables add about 1.9 MB
     field = CoverageField(500.0, 500.0, 5.0)
     sensors = random_deployment(field, 110, 60.0, PI / 2, RandomSource(1))
     tracemalloc.start()
@@ -967,6 +1089,24 @@ def test_headline_evaluator_retains_under_five_megabytes():
         tracemalloc.stop()
     assert ev.grid_count == 10_000
     assert retained < 2_870_000 + 2_500_000
+
+
+def test_fine_grid_evaluator_keeps_one_sensing_representation():
+    # 283,144 entries on a 2 m grid retain 27.54 MB (tracemalloc, numpy 2.4):
+    # no interval arrays in candidate order beside the run layout, and no
+    # Python list per entry
+    field = CoverageField(500.0, 500.0, 2.0)
+    sensors = random_deployment(field, 110, 60.0, PI / 2, RandomSource(1))
+    tracemalloc.start()
+    try:
+        ev = CoverageEvaluator(sensors, field)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ev._idx.size == 283_144
+    assert retained < 28_500_000
+    assert not {"_lo", "_hi", "_in_order", "_parts"} & set(vars(ev))
+    assert all(len(v) <= len(sensors) for v in vars(ev).values() if isinstance(v, list))
 
 
 def test_covered_mask_needs_one_angle_per_sensor():

@@ -6,7 +6,7 @@ import pytest
 
 import armyant as aa
 from armyant.coverage import CoverageEvaluator, with_deviations
-from armyant.enhance import enhance_aaso, enhance_pso, enhance_vfa
+from armyant.enhance import _pull, _wrap_signed, enhance_aaso, enhance_pso, enhance_vfa
 from armyant.rng import RandomSource
 
 PI = math.pi
@@ -122,6 +122,35 @@ def test_vfa_rotates_toward_uncovered_mass():
     run = enhance_vfa([sensor], field, 30)
     assert run.best_angles[0] == pytest.approx(30 * PI / 90, abs=1e-9)
     assert run.final_rate > run.initial_rate
+
+
+def test_vfa_counts_one_sensed_subset_call_per_evaluation(monkeypatch):
+    # the tracer's ``coverage.subset_calls`` counts VFA's sector recomputations
+    # by wrapping the class attribute in the same way
+    calls = []
+    sensed_subset = CoverageEvaluator.sensed_subset
+
+    def counted(self, sensor_index, theta):
+        calls.append(sensor_index)
+        return sensed_subset(self, sensor_index, theta)
+
+    monkeypatch.setattr(CoverageEvaluator, "sensed_subset", counted)
+    field, sensors = headline_instance(seed=5)
+    run = enhance_vfa(sensors, field, 15)
+    assert len(calls) == run.evaluations > len(sensors)
+    assert calls[: len(sensors)] == list(range(len(sensors)))
+
+
+def test_pull_row_sums_are_the_one_dimensional_sums():
+    # VFA's goldens were recorded with one pairwise sum per 1-D array; the
+    # (2, m) row reduce must give the same doubles at every length
+    rng = np.random.default_rng(6)
+    for m in [*range(0, 300), 511, 1024, 4097, 8193, 20001]:
+        bearing = rng.uniform(-PI, PI, m)
+        cos_sin = np.stack([np.cos(bearing), np.sin(bearing)])
+        x, y = np.add.reduce(cos_sin[0]), np.add.reduce(cos_sin[1])
+        expected = 0.0 if x == 0.0 and y == 0.0 else _wrap_signed(math.atan2(y, x) - 1.0)
+        assert _pull(cos_sin, 1.0) == expected
 
 
 def test_vfa_zero_attraction_when_fully_covered():
