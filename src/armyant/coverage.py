@@ -105,33 +105,37 @@ entries wherever H' falls and treats each stretch, a segment, like a
 sensor (``_run_layout``). No sensor of the headline instances needs a cut.
 
 VFA turns one sensor at a time. ``CoverageEvaluator.sensed_subset``
-finds that sensor's a, b and a2 by three binary searches per segment over
-the bounds in run order. The indicator above is a sum of three steps, at
-b, a and a2. So a turn from (a, b, a2) to (a', b', a2') changes only the
-entries between an old count and its new one: [x < b'] - [x < b] is +1
-on [b, b') and -1 on [b', b), and the steps at a and a2 enter with the
-opposite sign (``move_counts``). (0, 0, n) senses nothing, so the first
-pass moves the per-grid counts like any turn. The three slices may
-overlap; integer adds are exact, so their order does not matter.
+finds that sensor's a, b and a2 per segment with the lookup below. The
+indicator above is a sum of three steps, at b, a and a2. So a turn from
+(a, b, a2) to (a', b', a2') changes only the entries between an old count
+and its new one: [x < b'] - [x < b] is +1 on [b, b') and -1 on [b', b),
+and the steps at a and a2 enter with the opposite sign (``move_counts``).
+(0, 0, n) senses nothing, so the first pass moves the per-grid counts
+like any turn. The three slices may overlap; integer adds are exact, so
+their order does not matter.
 
 The three counts come from one lookup per segment and angle
-(``_RunLookup``), done for all segments and rows at once. Give each
-entry the upper key U = H + 1, the pattern of the double just past its
-upper bound, read on [1, S]: H' + 1 for an unwrapped interval, H' - S + 1
-for a wrapped one and S - 1 for a full set (H' - S + 1 too). The patterns
-are integers, so for an unwrapped entry H' < k exactly when U <= k, and
-for the others H' < k + S exactly when U <= k; every unwrapped entry has
-H' < S <= k + S. A segment's merged keys are its L and its U, sorted
-together. A U equal to S (an unwrapped bound at prev(P)) exceeds every k
-and would never count, so it is left out. Let p = #(keys <= k): the
-first p merged keys are exactly those at most k, whatever the order of
-equal keys. Among them, the lower bounds number b and the unwrapped
-entries' U number a. The other p - a - b are the wrapped and full
-entries with H' < k + S, to which a2 adds every unwrapped entry:
-a2 = p - a - b + #unwrapped. Two prefix-count tables over the merged
-keys give b and a at p.
+(``_RunLookup``). Give each entry the upper key U = H + 1, the pattern
+of the double just past its upper bound, read on [1, S]: H' + 1 for an
+unwrapped interval, H' - S + 1 for a wrapped one and S - 1 for a full
+set (H' - S + 1 too). The patterns are integers, so for an unwrapped
+entry H' < k exactly when U <= k, and for the others H' < k + S exactly
+when U <= k; every unwrapped entry has H' < S <= k + S. A segment's
+merged keys are its L and its U, sorted together. A U equal to S (an
+unwrapped bound at prev(P)) exceeds every k and would never count, so it
+is left out. Let p = #(keys <= k): the first p merged keys are exactly
+those at most k, whatever the order of equal keys. Among them, the lower
+bounds number b and the unwrapped entries' U number a. The other
+p - a - b are the wrapped and full entries with H' < k + S, to which a2
+adds every unwrapped entry: a2 = p - a - b + #unwrapped. Two
+prefix-count tables over the merged keys give b and a at p.
 
-Finding p takes no search over the whole segment. Segment s puts an
+For one segment at one angle (``sensed_subset``), one binary search over
+the segment's merged keys, up to the sentinel S that closes them (below),
+finds p (``_RunLookup.runs_at``).
+
+A block of rows is looked up for all segments and rows at once, and
+finding p takes no search over the whole segment. Segment s puts an
 angle x in bucket floor(x * c_s), with c_s = fl(B_s / P) and B_s the
 power of two at or above its key count, so its buckets hold at most one
 key each on average. A key and a query land in their buckets by the same rounded
@@ -174,8 +178,7 @@ follows the number of entries, not the rows times the sensed entries.
 import csv
 import math
 import struct
-from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -311,7 +314,7 @@ _LAST = np.nextafter(TWO_PI, 0.0)
 # measured on random entries lie within two ulps of their estimates
 _REACH = 4 * np.spacing(TWO_PI)
 _CHUNK = 8192  # entries per interval build step
-# a double's bit pattern as a Python int, for ``sensed_subset``'s searches
+# a double's bit pattern as a Python int, for ``sensed_subset``'s search
 _DOUBLE, _UINT64 = struct.Struct("<d"), struct.Struct("<Q")
 
 
@@ -504,7 +507,8 @@ class _RunLookup:
     among the segment's first p keys and ``_below`` its unwrapped upper
     keys. The segment's bucket j starts at key position
     ``_buckets[_bucket_first[s] + j]``; no bucket holds more than
-    ``2**_steps`` keys.
+    ``2**_steps`` keys. ``runs`` looks up blocks through the buckets;
+    ``runs_at`` looks up one segment at one angle by binary search.
     """
 
     def __init__(self, start, end, first, stop):
@@ -535,6 +539,13 @@ class _RunLookup:
         self._below = self._prefix(~is_lower & (order < start.size + n_below.sum()), n_below)
         del order
         self._offset = n_unwrapped - self._base
+        # for ``runs_at``: per segment, the positions of its first key and of
+        # its sentinel and its offset, and views that read the key and prefix
+        # arrays as Python ints without a copy
+        sentinel = self._base + size - 1
+        self._spans = list(zip(self._base.tolist(), sentinel.tolist(), self._offset.tolist()))
+        self._key_items, self._lower_items, self._below_items = (
+            memoryview(part) for part in (self._keys, self._lower, self._below))
         # B_s = 2**e buckets of equal angle for at least as many keys; the
         # table runs to the sentinel's bucket floor(P * c_s), B_s or next to
         # it after rounding. Keys are bucketed by the same product as queries
@@ -584,6 +595,18 @@ class _RunLookup:
         b = self._lower.take(at)
         a = self._below.take(at)
         return a, at - a - b + self._offset[:, None], b
+
+    def runs_at(self, s, k):
+        """``runs`` of segment s alone, at the angle whose bit pattern is k < S.
+
+        One binary search over the segment's merged keys, up to its
+        sentinel, finds the position of the first key above k.
+        """
+        first, sentinel, offset = self._spans[s]
+        at = bisect_right(self._key_items, k, first, sentinel)
+        b = self._lower_items[at]
+        a = self._below_items[at]
+        return a, at - a - b + offset, b
 
 
 def is_sensed(sensor, point):
@@ -643,12 +666,12 @@ class CoverageEvaluator:
     the grid is sensed, and orders each sensor's entries so that the
     entries sensed at any angle form two runs of a segment (module
     docstring). It keeps the entries' grid indices ``_idx`` in candidate
-    order. For ``sensed_subset`` it keeps the unwrapped bound patterns L
-    and H' in run order, ``_run_lower``/``_run_upper`` (two flat uint64
-    arrays), and per sensor its segments' grid indices in run order with
-    their positions in those arrays, ``_segments``. For the bit-parallel
-    pass it keeps the segments' merged keys and tables ``_lookup``; per
-    segment, its sensor ``_segment_sensor``, its first slot
+    order and one copy of the bounds: the segments' merged keys and prefix
+    tables, ``_lookup``, which both the bit-parallel pass and
+    ``sensed_subset`` read. For ``sensed_subset`` it keeps, per sensor, its
+    segments' grid indices in run order with their segment numbers,
+    ``_segments``. For the bit-parallel pass it keeps, per segment, its
+    sensor ``_segment_sensor``, its first slot
     ``_slot_first`` and its entry count ``_slot_count`` (a segment's gap
     slot follows its last entry); and the entries' slots grouped grid by
     grid, ``_grid_slots``, with each group's start ``_grid_starts`` and
@@ -673,14 +696,13 @@ class CoverageEvaluator:
         order, start, end, first, stop, self._segment_sensor = _run_layout(lo, hi, self._counts)
         del lo, hi  # freed before the lookup's sort, which sets the build's peak
         self._lookup = _RunLookup(start, end, first, stop)
-        # bisect reads these as Python ints as fast as it reads a list
-        self._run_lower, self._run_upper = array("Q", start.tobytes()), array("Q", end.tobytes())
         del start, end
         run_grids = self._idx[order]
         self._segments = [[] for _ in sensors]
-        for f, e, sensor in zip(first.tolist(), stop.tolist(), self._segment_sensor.tolist()):
-            self._segments[sensor].append((run_grids[f:e], f, e))
-        self.run_grids = [[grids for grids, _, _ in segments] for segments in self._segments]
+        layout = zip(first.tolist(), stop.tolist(), self._segment_sensor.tolist())
+        for s, (f, e, sensor) in enumerate(layout):
+            self._segments[sensor].append((run_grids[f:e], s))
+        self.run_grids = [[grids for grids, _ in segments] for segments in self._segments]
         # segment s's entries take the slots from first + s on: one gap slot
         # follows each segment
         segment = np.arange(first.size)
@@ -699,17 +721,19 @@ class CoverageEvaluator:
 
         One tuple ``(grids, a, b, a2)`` per segment of the sensor: ``grids``
         holds the segment's grid indices in run order, and the sensed ones
-        are ``grids[a:b]`` and ``grids[a2:]`` (module docstring). Three
-        binary searches per segment find a, b and a2.
+        are ``grids[a:b]`` and ``grids[a2:]`` (module docstring). One
+        binary search per segment, over its merged keys in ``_lookup``,
+        finds a, b and a2. A non-finite angle raises ``ValueError``.
         """
+        theta = float(theta)
+        if not math.isfinite(theta):
+            raise ValueError(f"the angle of sensor {sensor_index} must be finite, got {theta!r}")
         k = _UINT64.unpack(_DOUBLE.pack(canonicalize_scalar(theta)))[0]
-        k2 = k + _SPAN
-        lower, upper = self._run_lower, self._run_upper
-        return [
-            (grids, bisect_left(upper, k, f, e) - f, bisect_right(lower, k, f, e) - f,
-             bisect_left(upper, k2, f, e) - f)
-            for grids, f, e in self._segments[sensor_index]
-        ]
+        runs = []
+        for grids, s in self._segments[sensor_index]:
+            a, a2, b = self._lookup.runs_at(s, k)
+            runs.append((grids, a, b, a2))
+        return runs
 
     def _check(self, block):
         """Reject a block that is not (n, sensors) or holds a non-finite angle."""

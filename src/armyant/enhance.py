@@ -63,11 +63,13 @@ def _search_angles(sensors, field, search, config, rng):
     incumbent = np.array([s.deviation for s in sensors])
     initial_rate = evaluator.rate(incumbent)
     result = search(evaluator.fitness, space, config, rng, seed_positions=[incumbent])
+    curve = _rates_from_history(result.history, field.grid_count)
     return EnhancementRun(
         initial_rate=initial_rate,
-        final_rate=evaluator.rate(result.best_position),
+        # the curve's last entry is the best position's rate, recovered exactly
+        final_rate=float(curve[-1]),
         best_angles=canonicalize_angle(result.best_position),
-        curve=_rates_from_history(result.history, field.grid_count),
+        curve=curve,
         evaluations=result.evaluations,
     )
 
@@ -194,7 +196,7 @@ def enhance_vfa(sensors, field, max_iters):
 
     return EnhancementRun(
         initial_rate=initial_rate,
-        final_rate=evaluator.rate(best_angles),
+        final_rate=float(best_rate),
         best_angles=canonicalize_angle(best_angles),
         curve=np.array(curve),
         evaluations=evaluations,

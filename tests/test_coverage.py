@@ -881,9 +881,13 @@ def test_bucketed_lookup_equals_the_three_searches(seed):
     span = np.float64(TWO_PI).view(np.uint64)
     k = theta.view(np.uint64)
     for s, (f, e) in enumerate(zip(first, stop)):
-        assert np.array_equal(a[s], end[f:e].searchsorted(k[s]))
-        assert np.array_equal(a2[s], end[f:e].searchsorted(k[s] + span))
-        assert np.array_equal(b[s], start[f:e].searchsorted(k[s], side="right"))
+        searched = (end[f:e].searchsorted(k[s]), end[f:e].searchsorted(k[s] + span),
+                    start[f:e].searchsorted(k[s], side="right"))
+        for found, expected in zip((a[s], a2[s], b[s]), searched):
+            assert np.array_equal(found, expected)
+        # the scalar form that ``sensed_subset`` calls, one probe at a time
+        scalar = [lookup.runs_at(s, key) for key in k[s].tolist()]
+        assert scalar == list(zip(*(expected.tolist() for expected in searched)))
     # the last sensor's keys fill one bucket; the sentinel has its own
     table = np.split(lookup._buckets, lookup._bucket_first[1:])
     for s in np.flatnonzero(sensors == counts.size - 1):
@@ -1058,6 +1062,13 @@ def test_non_finite_angles_are_rejected_naming_row_and_sensor(headline, bad):
         ev.fitness(np.full((2, 110), bad))
     value = ev.grid_count / ev.covered_count(deployed)
     assert ev.fitness(np.tile(deployed, (2, 1))).tolist() == [value, value]
+    # VFA's one-sensor path: a NaN used to sense 65 of sensor 0's 343
+    # candidate grids, and an infinite angle none
+    for sensor in (0, 109):
+        with pytest.raises(ValueError, match=f"the angle of sensor {sensor} must be finite, got {bad}"):
+            ev.sensed_subset(sensor, bad)
+    turned = deployed[109] + TWO_PI
+    assert grids_of(ev.sensed_subset(109, turned)) == grids_of(ev.sensed_subset(109, deployed[109]))
 
 
 def test_one_block_evaluation_allocates_under_two_megabytes(headline):
@@ -1075,10 +1086,11 @@ def test_one_block_evaluation_allocates_under_two_megabytes(headline):
     assert peak < 2_000_000
 
 
-def test_headline_evaluator_retains_under_five_megabytes():
-    # the candidate entries, their bounds and grids in run order and the slot
-    # arrays take about 2.4 MB; the lookup's merged keys, prefix counts and
-    # bucket tables add about 1.9 MB
+def test_headline_evaluator_retains_under_3_8_megabytes():
+    # 3.66 MB (tracemalloc, numpy 2.4): the candidate entries, their grids in
+    # run order and the slot arrays take about 1.7 MB; the lookup's merged
+    # keys, prefix counts and bucket tables, the one copy of the bounds, add
+    # about 1.9 MB
     field = CoverageField(500.0, 500.0, 5.0)
     sensors = random_deployment(field, 110, 60.0, PI / 2, RandomSource(1))
     tracemalloc.start()
@@ -1088,13 +1100,14 @@ def test_headline_evaluator_retains_under_five_megabytes():
     finally:
         tracemalloc.stop()
     assert ev.grid_count == 10_000
-    assert retained < 2_870_000 + 2_500_000
+    assert retained < 3_800_000
 
 
 def test_fine_grid_evaluator_keeps_one_sensing_representation():
-    # 283,144 entries on a 2 m grid retain 27.54 MB (tracemalloc, numpy 2.4):
-    # no interval arrays in candidate order beside the run layout, and no
-    # Python list per entry
+    # 283,144 entries on a 2 m grid retain 22.76 MB (tracemalloc, numpy 2.4):
+    # no interval arrays in candidate order beside the run layout, no bounds
+    # in run order beside the lookup's merged keys, and no Python list per
+    # entry
     field = CoverageField(500.0, 500.0, 2.0)
     sensors = random_deployment(field, 110, 60.0, PI / 2, RandomSource(1))
     tracemalloc.start()
@@ -1104,8 +1117,8 @@ def test_fine_grid_evaluator_keeps_one_sensing_representation():
     finally:
         tracemalloc.stop()
     assert ev._idx.size == 283_144
-    assert retained < 28_500_000
-    assert not {"_lo", "_hi", "_in_order", "_parts"} & set(vars(ev))
+    assert retained < 23_500_000
+    assert not {"_lo", "_hi", "_in_order", "_parts", "_run_lower", "_run_upper"} & set(vars(ev))
     assert all(len(v) <= len(sensors) for v in vars(ev).values() if isinstance(v, list))
 
 
