@@ -187,21 +187,19 @@ TWO_PI = 2.0 * math.pi
 
 
 def canonicalize_angle(angle):
-    """Reduce angles into [0, 2*pi); works on scalars and arrays."""
+    """Reduce angles into [0, 2*pi); works on scalars and arrays.
+
+    The result is ``np.mod(angle, 2*pi)`` with 2*pi mapped to 0.0. On
+    [0, 2*pi] ``np.mod`` changes only 2*pi, to 0.0, and -0.0, to +0.0;
+    adding +0.0 makes the same change to -0.0 and keeps every other double.
+    So an input that lies there, as the optimizers' blocks do, skips
+    ``np.mod``; any other takes the general path.
+    """
+    angle = np.asarray(angle)
+    if angle.min(initial=0.0) >= 0.0 and angle.max(initial=0.0) <= TWO_PI:
+        return np.where(angle >= TWO_PI, 0.0, angle + 0.0)
     out = np.mod(angle, TWO_PI)
     return np.where(out >= TWO_PI, 0.0, out)
-
-
-def _canonical_block(block):
-    """``canonicalize_angle(block)`` to the bit, without ``np.mod`` on [0, 2*pi].
-
-    On [0, 2*pi] ``np.mod`` changes only 2*pi, to 0.0, and -0.0, to +0.0;
-    adding +0.0 makes the same change to -0.0 and keeps every other double.
-    The optimizers' blocks lie there; any other block takes the general path.
-    """
-    if block.min(initial=0.0) >= 0.0 and block.max(initial=0.0) <= TWO_PI:
-        return np.where(block >= TWO_PI, 0.0, block + 0.0)
-    return canonicalize_angle(block)
 
 
 def canonicalize_scalar(angle):
@@ -636,6 +634,14 @@ def candidate_grids(sensor, field):
     return idx[dist <= sensor.radius]
 
 
+def entry_geometry(sensor, field, idx):
+    """Bearings from the sensor to the centroids of grids ``idx``, and whether
+    each centroid lies at the sensor's position."""
+    dx = field.centroids[idx, 0] - sensor.x
+    dy = field.centroids[idx, 1] - sensor.y
+    return np.arctan2(dy, dx), np.hypot(dx, dy) == 0.0
+
+
 def _candidate_entries(sensors, field):
     """Every sensor's candidate grids, flattened into (sensor, grid) entries.
 
@@ -645,11 +651,10 @@ def _candidate_entries(sensors, field):
     idx_parts, bear_parts, zero_parts = [], [], []
     for sensor in sensors:
         idx = candidate_grids(sensor, field)
-        dx = field.centroids[idx, 0] - sensor.x
-        dy = field.centroids[idx, 1] - sensor.y
+        bearing, zero = entry_geometry(sensor, field, idx)
         idx_parts.append(idx)
-        bear_parts.append(np.arctan2(dy, dx))
-        zero_parts.append(np.hypot(dx, dy) == 0.0)
+        bear_parts.append(bearing)
+        zero_parts.append(zero)
     if not idx_parts:
         empty = np.empty(0, dtype=np.intp)
         return empty, np.empty(0), np.empty(0, dtype=bool), empty
@@ -660,58 +665,58 @@ def _candidate_entries(sensors, field):
 class CoverageEvaluator:
     """Coverage of fixed sensor positions as a function of deviation angles.
 
-    Candidate grids, bearings and zero-distance flags are precomputed per
-    sensor and flattened. The build then turns each (sensor, grid) entry
-    into the circular interval ``[lo, hi]`` of deviation angles at which
-    the grid is sensed, and orders each sensor's entries so that the
-    entries sensed at any angle form two runs of a segment (module
-    docstring). It keeps the entries' grid indices ``_idx`` in candidate
-    order and one copy of the bounds: the segments' merged keys and prefix
-    tables, ``_lookup``, which both the bit-parallel pass and
-    ``sensed_subset`` read. For ``sensed_subset`` it keeps, per sensor, its
-    segments' grid indices in run order with their segment numbers,
-    ``_segments``. For the bit-parallel pass it keeps, per segment, its
-    sensor ``_segment_sensor``, its first slot
-    ``_slot_first`` and its entry count ``_slot_count`` (a segment's gap
-    slot follows its last entry); and the entries' slots grouped grid by
-    grid, ``_grid_slots``, with each group's start ``_grid_starts`` and
-    grid ``_grids``. Nothing is written after the build: every evaluation
-    allocates its own arrays, so one evaluator may be shared by several
-    threads.
+    The build finds each sensor's candidate grids with their bearings and
+    zero-distance flags, turns each (sensor, grid) entry into the circular
+    interval ``[lo, hi]`` of deviation angles at which the grid is sensed,
+    and orders each sensor's entries so that the entries sensed at any
+    angle form two runs of a segment (module docstring). Only what
+    evaluations read is retained:
 
-    ``per_sensor[i]`` holds views of sensor i's candidate grid indices,
-    bearings and zero-distance flags, and ``run_grids[i]`` views of its
-    grid indices in run order, one per segment.
+    - ``_lookup``, the segments' merged keys and prefix tables: the one
+      copy of the bounds, which both the bit-parallel pass and
+      ``sensed_subset`` read;
+    - ``run_grids[i]``, views of sensor i's grid indices in run order, one
+      per segment, and ``_segment_first[i]``, the number of its first
+      segment (a sensor's segments are numbered consecutively);
+    - for the bit-parallel pass, per segment, its sensor
+      ``_segment_sensor``, its first slot ``_slot_first`` and its entry
+      count ``_slot_count`` (a segment's gap slot follows its last entry),
+      and the entries' slots grouped grid by grid, ``_grid_slots``, with
+      each group's start ``_grid_starts`` and grid ``_grids``.
+
+    Nothing is written after the build: every evaluation allocates its own
+    arrays, so one evaluator may be shared by several threads.
     """
 
     def __init__(self, sensors, field):
         sensors = list(sensors)
         self.grid_count = field.grid_count
-        self._idx, bearing, zero, self._counts = _candidate_entries(sensors, field)
-        ends = np.cumsum(self._counts).tolist()
-        parts = [slice(e - c, e) for c, e in zip(self._counts.tolist(), ends)]
-        self.per_sensor = [(self._idx[p], bearing[p], zero[p]) for p in parts]
+        idx, bearing, zero, self._counts = _candidate_entries(sensors, field)
         half = np.repeat([s.view_angle / 2.0 for s in sensors], self._counts)
         lo, hi = _sensing_intervals(bearing, half, zero)
+        del bearing, zero, half
         order, start, end, first, stop, self._segment_sensor = _run_layout(lo, hi, self._counts)
         del lo, hi  # freed before the lookup's sort, which sets the build's peak
         self._lookup = _RunLookup(start, end, first, stop)
         del start, end
-        run_grids = self._idx[order]
-        self._segments = [[] for _ in sensors]
-        layout = zip(first.tolist(), stop.tolist(), self._segment_sensor.tolist())
-        for s, (f, e, sensor) in enumerate(layout):
-            self._segments[sensor].append((run_grids[f:e], s))
-        self.run_grids = [[grids for grids, _ in segments] for segments in self._segments]
+        entry_grids = idx[order]
+        del idx, order
+        # _run_layout sorts by sensor, so sensor i's segments are numbered
+        # consecutively from its first
+        segment_counts = np.bincount(self._segment_sensor, minlength=len(sensors))
+        self._segment_first = (np.cumsum(segment_counts) - segment_counts).tolist()
+        self.run_grids = [[] for _ in sensors]
+        for f, e, sensor in zip(first.tolist(), stop.tolist(), self._segment_sensor.tolist()):
+            self.run_grids[sensor].append(entry_grids[f:e])
         # segment s's entries take the slots from first + s on: one gap slot
         # follows each segment
         segment = np.arange(first.size)
         self._slot_first = first + segment
         self._slot_count = stop - first
-        self._slots = self._idx.size + first.size
-        slot = np.arange(self._idx.size) + np.repeat(segment, self._slot_count)
-        by_grid = np.argsort(run_grids, kind="stable")
-        grids = run_grids[by_grid]
+        self._slots = entry_grids.size + first.size
+        slot = np.arange(entry_grids.size) + np.repeat(segment, self._slot_count)
+        by_grid = np.argsort(entry_grids, kind="stable")
+        grids = entry_grids[by_grid]
         self._grid_slots = slot[by_grid]
         self._grid_starts = np.flatnonzero(np.diff(grids, prepend=-1))
         self._grids = grids[self._grid_starts]
@@ -730,7 +735,8 @@ class CoverageEvaluator:
             raise ValueError(f"the angle of sensor {sensor_index} must be finite, got {theta!r}")
         k = _UINT64.unpack(_DOUBLE.pack(canonicalize_scalar(theta)))[0]
         runs = []
-        for grids, s in self._segments[sensor_index]:
+        first = self._segment_first[sensor_index]
+        for s, grids in enumerate(self.run_grids[sensor_index], first):
             a, a2, b = self._lookup.runs_at(s, k)
             runs.append((grids, a, b, a2))
         return runs
@@ -757,7 +763,7 @@ class CoverageEvaluator:
         """
         # the intervals hold for theta in [0, 2*pi); canonicalizing also makes
         # 2*pi and 0 evaluate alike
-        theta = _canonical_block(block).T.take(self._segment_sensor, axis=0)
+        theta = canonicalize_angle(block).T.take(self._segment_sensor, axis=0)
         # per segment and row, the runs [a, b) and [a2, count) as positions
         # within the segment
         a, a2, b = self._lookup.runs(theta)
@@ -814,8 +820,10 @@ class CoverageEvaluator:
         """Reciprocal coverage rates of an (n, sensors) block, to be minimized.
 
         Row i holds one angle per sensor; value i is its reciprocal rate.
-        Full coverage scores 1.0, half coverage 2.0; zero coverage returns
-        the finite sentinel grid_count**2 so the objective stays total.
+        Full coverage scores 1.0, half coverage 2.0, and the worst finite
+        value, one covered grid, is grid_count. Zero coverage returns the
+        finite sentinel 2.0 * grid_count, above every finite value, so the
+        objective stays total and ranks it last.
         The block is evaluated in bit-parallel passes of up to 53 rows
         (module docstring): each pass looks up the runs of every segment and
         row at once, then marks, XORs and ORs one word per entry and per
@@ -826,7 +834,7 @@ class CoverageEvaluator:
         if block.ndim != 2:
             raise ValueError("fitness takes an (n, sensors) block of angle vectors")
         self._check(block)
-        values = np.full(len(block), float(self.grid_count**2))
+        values = np.full(len(block), 2.0 * self.grid_count)
         for first in range(0, len(block), _WORD):
             counts = self._covered_counts(block[first : first + _WORD])
             covered = counts > 0

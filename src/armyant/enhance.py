@@ -23,7 +23,7 @@ import numpy as np
 
 from . import optimizer
 from .baselines import pso_run
-from .coverage import TWO_PI, CoverageEvaluator, canonicalize_angle, move_counts
+from .coverage import TWO_PI, CoverageEvaluator, canonicalize_angle, entry_geometry, move_counts
 from .space import SearchSpace
 
 # virtual-force rotation (``enhance_vfa``); the attraction torque has weight one
@@ -44,8 +44,10 @@ class EnhancementRun:
 
 
 def _rates_from_history(history, grid_count):
-    # fitness is grid_count/covered, so covered is recoverable exactly
-    covered = np.rint(grid_count / np.asarray(history, dtype=float))
+    # fitness is grid_count/covered, so covered is recoverable exactly; every
+    # value above grid_count is the zero-coverage sentinel
+    history = np.asarray(history, dtype=float)
+    covered = np.where(history > grid_count, 0.0, np.rint(grid_count / history))
     return covered / grid_count
 
 
@@ -108,6 +110,18 @@ def _pull(cos_sin, theta):
     return _wrap_signed(math.atan2(y, x) - theta)
 
 
+def _candidate_geometry(sensor, field, segments):
+    """The sensor's candidate grids, their bearings and zero-distance flags.
+
+    ``segments`` is the sensor's ``run_grids`` entry: its candidate grids
+    in run order. Candidate order is ascending grid index
+    (``candidate_grids``), so one sort restores it.
+    """
+    # the empty part keeps the dtype when the sensor has no candidate grid
+    idx = np.sort(np.concatenate([np.empty(0, dtype=np.intp), *segments]))
+    return (idx, *entry_geometry(sensor, field, idx))
+
+
 def enhance_vfa(sensors, field, max_iters):
     """Virtual-force rotation baseline, deterministic, over ``max_iters`` iterations.
 
@@ -125,8 +139,9 @@ def enhance_vfa(sensors, field, max_iters):
     Precomputed once per run: each sensor's neighbor list, and the cosines
     and sines of the bearings of its candidate grids (grids at the sensor's
     own position, which exert no pull, left out), stacked as a (2, m)
-    array. The cosines and sines of the sensors' deviations are kept in one
-    (2, n) array, and a sensor's column is updated when it rotates.
+    array, from the evaluator's ``run_grids`` (``_candidate_geometry``).
+    The cosines and sines of the sensors' deviations are kept in one (2, n)
+    array, and a sensor's column is updated when it rotates.
     ``np.cos`` and ``np.sin`` act element by element, so selecting from
     these arrays gives the doubles that the functions would give on the
     selected angles.
@@ -151,7 +166,8 @@ def enhance_vfa(sensors, field, max_iters):
         neighbor_lists.append(np.flatnonzero((d <= reach) & (np.arange(n) != i)))
 
     grid_pulls = []
-    for idx, bearing, zero in evaluator.per_sensor:
+    for sensor, segments in zip(sensors, evaluator.run_grids):
+        idx, bearing, zero = _candidate_geometry(sensor, field, segments)
         away = ~zero
         grid_pulls.append((idx[away], np.stack([np.cos(bearing[away]), np.sin(bearing[away])])))
 

@@ -33,7 +33,7 @@ from armyant.coverage import (
     _CHUNK,
     _bisect_intervals,
     _bound,
-    _canonical_block,
+    _candidate_entries,
     _in_sector,
     _reduce_angle,
     _RunLookup,
@@ -41,6 +41,7 @@ from armyant.coverage import (
     _sensed,
     _sensing_intervals,
 )
+from armyant.enhance import _candidate_geometry
 from armyant.rng import RandomSource
 
 PI = math.pi
@@ -296,7 +297,7 @@ def test_required_nodes_round_trip():
 
 # --- reciprocal-coverage objective ---------------------------------------------------
 
-def test_cepw_fitness_full_and_half_and_empty():
+def test_fitness_full_and_half_and_empty():
     field = CoverageField(10, 10, 5)  # four grids
     omni = Sensor(5.0, 5.0, 20.0, 2 * PI, 0.0)
     assert CoverageEvaluator([omni], field).fitness(np.array([[0.0]])).tolist() == [1.0]
@@ -306,11 +307,17 @@ def test_cepw_fitness_full_and_half_and_empty():
     assert CoverageEvaluator([one_cell], field2).fitness(np.array([[0.0]])).tolist() == [2.0]
 
     blind = Sensor(4.0, 4.0, 0.5, 0.3, 0.0)  # reaches no centroid
-    # grid_count squared
+    # twice grid_count, above every finite value
     assert CoverageEvaluator([blind], field2).fitness(np.array([[0.0]])).tolist() == [4.0]
 
+    # on one grid, full coverage scores 1.0 and zero coverage must not
+    one_grid = CoverageField(5, 5, 5)
+    assert CoverageEvaluator([omni], one_grid).fitness(np.array([[0.0]])).tolist() == [1.0]
+    short = Sensor(0.1, 0.1, 3.0, 0.2, PI)  # the centroid (2.5, 2.5) lies out of range
+    assert CoverageEvaluator([short], one_grid).fitness(np.array([[PI]])).tolist() == [2.0]
 
-def test_cepw_fitness_length_mismatch():
+
+def test_fitness_length_mismatch():
     field = CoverageField(10, 10, 5)
     evaluator = CoverageEvaluator([Sensor(5, 5, 3, PI)], field)
     with pytest.raises(ValueError, match="one angle per sensor"):
@@ -319,7 +326,7 @@ def test_cepw_fitness_length_mismatch():
         evaluator.fitness(np.array([0.0]))
 
 
-def test_cepw_fitness_block_rows_match_single_rows():
+def test_fitness_block_rows_match_single_rows():
     field = CoverageField(60, 60, 5)
     sensors = random_deployment(field, 3, 20.0, PI / 2, RandomSource(12))
     evaluator = CoverageEvaluator(sensors, field)
@@ -330,7 +337,7 @@ def test_cepw_fitness_block_rows_match_single_rows():
         assert value == field.grid_count / evaluator.covered_count(row)
 
 
-def test_cepw_argmin_matches_rate_argmax():
+def test_fitness_argmin_matches_rate_argmax():
     field = CoverageField(60, 60, 5)
     sensors = random_deployment(field, 3, 20.0, PI / 2, RandomSource(12))
     rng = RandomSource(99)
@@ -421,20 +428,34 @@ def test_canonicalize_scalar_is_canonicalize_angle_to_the_bit(x):
     assert np.float64(got).view(np.int64) == np.float64(canonicalize_angle(x)).view(np.int64)
 
 
+def mod_reference(angle):
+    """``canonicalize_angle``'s definition: np.mod, then 2*pi mapped to 0.0."""
+    with np.errstate(invalid="ignore"):  # np.mod of an infinity is NaN
+        out = np.mod(angle, TWO_PI)
+    return np.where(out >= TWO_PI, 0.0, out)
+
+
 def test_canonical_block_is_canonicalize_angle_to_the_bit():
     edges = [0.0, -0.0, float(np.nextafter(TWO_PI, 0.0)), TWO_PI, PI, 1e-300]
     inside = np.concatenate([edges, np.random.default_rng(4).uniform(0.0, TWO_PI, 94)]).reshape(4, 25)
+    expected = mod_reference(inside)
     # on [0, 2*pi] the fast path runs, without np.mod
-    with mock.patch("armyant.coverage.canonicalize_angle", side_effect=AssertionError):
-        fast = _canonical_block(inside)
-    assert np.array_equal(fast.view(np.int64), canonicalize_angle(inside).view(np.int64))
+    with mock.patch("armyant.coverage.np.mod", side_effect=AssertionError):
+        fast = canonicalize_angle(inside)
+        assert canonicalize_angle(np.zeros((1, 0))).shape == (1, 0)
+    assert np.array_equal(fast.view(np.int64), expected.view(np.int64))
     assert fast[0, :4].view(np.int64).tolist() == [0, 0, np.nextafter(TWO_PI, 0.0).view(np.int64), 0]
-    for outlier in (np.nextafter(TWO_PI, 7.0), -1e-300, -PI, 7.0):
+    outliers = [np.nextafter(TWO_PI, 7.0), -1e-300, -PI, 7.0, math.nan, math.inf, -math.inf]
+    for outlier in outliers:
         block = inside.copy()
         block[2, 7] = outlier  # one angle out of range: the general path
-        got = _canonical_block(block)
-        assert np.array_equal(got.view(np.int64), canonicalize_angle(block).view(np.int64))
-    assert _canonical_block(np.zeros((1, 0))).shape == (1, 0)
+        with np.errstate(invalid="ignore"):
+            got = canonicalize_angle(block)
+        assert np.array_equal(got.view(np.int64), mod_reference(block).view(np.int64))
+    wide = np.concatenate([outliers, np.random.default_rng(5).uniform(-3 * TWO_PI, 3 * TWO_PI, 20_000)])
+    with np.errstate(invalid="ignore"):
+        got = canonicalize_angle(wide)
+    assert np.array_equal(got.view(np.int64), mod_reference(wide).view(np.int64))
 
 
 @settings(max_examples=25)
@@ -526,19 +547,20 @@ def test_evaluator_boundary_cases_match_reference(view_angle, theta):
     reference = coverage_naive(with_deviations(sensors, angles), LATTICE).covered
     assert np.array_equal(ev.covered_mask(angles), reference)
     assert np.array_equal(ev.covered_mask(angles), ev.covered_mask(canonicalize_angle(angles)))
+    entries = candidate_parts(sensors, LATTICE)
     for i, sensor in enumerate(with_deviations(sensors, angles)):
-        idx = ev.per_sensor[i][0]
+        idx = entries[i][0]
         expected = [is_sensed(sensor, LATTICE.centroids[g]) for g in idx]
         assert subset_grids(ev, i, theta) == sorted(idx[expected].tolist())
     if view_angle == 2 * PI:
-        assert all(subset_grids(ev, i, theta) == sorted(ev.per_sensor[i][0].tolist())
-                   for i in range(len(sensors)))
+        assert all(subset_grids(ev, i, theta) == sorted(idx.tolist())
+                   for i, (idx, _, _) in enumerate(entries))
 
 
 def test_evaluator_zero_distance_entry_is_sensed_backwards():
     sensor = Sensor(17.5, 17.5, 6.0, 0.2, 0.0)  # on a centroid, others off-axis
     ev = CoverageEvaluator([sensor], LATTICE)
-    idx, _, zero = ev.per_sensor[0]
+    (idx, _, zero), = candidate_parts([sensor], LATTICE)
     assert zero.tolist().count(True) == 1
     for theta in (0.0, PI, 4.0):
         assert ev.covered_mask([theta])[idx[zero]].all()
@@ -559,6 +581,17 @@ def interval_test(theta, lo, hi):
     return np.where(lo <= hi, (theta >= lo) & (theta <= hi), (theta >= lo) | (theta <= hi))
 
 
+def candidate_parts(sensors, field):
+    """Per sensor, its candidate grids, bearings and zero-distance flags.
+
+    From ``_candidate_entries``, which the evaluator's build starts from, so
+    that these oracles do not rest on what the evaluator keeps.
+    """
+    idx, bearing, zero, counts = _candidate_entries(sensors, field)
+    cuts = np.cumsum(counts)[:-1]
+    return list(zip(*(np.split(part, cuts) for part in (idx, bearing, zero))))
+
+
 def grids_of(runs):
     """The grid indices held by a ``sensed_subset`` result, sorted."""
     return sorted(g for grids, a, b, a2 in runs for g in [*grids[a:b].tolist(), *grids[a2:].tolist()])
@@ -568,10 +601,10 @@ def subset_grids(ev, i, theta):
     return grids_of(ev.sensed_subset(i, theta))
 
 
-def entry_intervals(ev, halves):
+def entry_intervals(entries, halves):
     """Per sensor, its entries' intervals in candidate order, from its half view angle."""
     return [_sensing_intervals(bearing, half, zero)
-            for (_, bearing, zero), half in zip(ev.per_sensor, halves)]
+            for (_, bearing, zero), half in zip(entries, halves)]
 
 
 def before(theta):
@@ -670,7 +703,8 @@ def test_covered_mask_matches_reduction_at_interval_bounds():
     field = CoverageField(150, 150, 5)
     sensors = random_deployment(field, 12, 35.0, 1.3, RandomSource(17))
     ev = CoverageEvaluator(sensors, field)
-    intervals = entry_intervals(ev, [s.view_angle / 2.0 for s in sensors])
+    entries = candidate_parts(sensors, field)
+    intervals = entry_intervals(entries, [s.view_angle / 2.0 for s in sensors])
     rng = np.random.default_rng(17)
     for pick in (lambda lo, hi: lo, lambda lo, hi: hi,
                  lambda lo, hi: before(lo), lambda lo, hi: after(hi), None):
@@ -679,7 +713,7 @@ def test_covered_mask_matches_reduction_at_interval_bounds():
         else:  # each sensor sits on a bound of one of its entries
             angles = np.array([pick(lo, hi)[rng.integers(lo.size)] for lo, hi in intervals])
         expected = np.zeros(field.grid_count, dtype=bool)
-        for i, (idx, bearing, zero) in enumerate(ev.per_sensor):
+        for i, (idx, bearing, zero) in enumerate(entries):
             half = sensors[i].view_angle / 2.0
             sensed = zero | _sensed(bearing, half, TWO_PI - half, angles[i])
             expected[idx[sensed]] = True
@@ -695,14 +729,15 @@ RUN_VIEWS = [1e-9, PI / 2, PI, 2 * PI - 1e-12, 2 * PI]
 BLOCK_ROWS = [0, 1, 25, 50, 52, 53, 54, 107]
 
 
-def reference_masks(ev, intervals, block):
+def reference_masks(ev, grids, intervals, block):
     """Per row, the grids of the entries whose interval holds the canonical angle.
 
-    ``intervals`` holds each sensor's entry intervals, in candidate order.
+    ``grids`` and ``intervals`` hold each sensor's candidate grids and entry
+    intervals, in candidate order.
     """
     masks = np.zeros((len(block), ev.grid_count), dtype=bool)
     for i, row in enumerate(block):
-        for j, ((idx, _, _), (lo, hi)) in enumerate(zip(ev.per_sensor, intervals)):
+        for j, (idx, (lo, hi)) in enumerate(zip(grids, intervals)):
             theta = canonicalize_angle(row[j])
             masks[i, idx[interval_test(theta, lo, hi)]] = True
     return masks
@@ -732,11 +767,11 @@ def sweep_block(intervals):
     return np.column_stack([np.resize(pool, rows) for pool in pools])
 
 
-def assert_kernel_matches(ev, intervals, block):
-    expected = reference_masks(ev, intervals, block)
+def assert_kernel_matches(ev, grids, intervals, block):
+    expected = reference_masks(ev, grids, intervals, block)
     counts = expected.sum(axis=1)
     with np.errstate(divide="ignore"):
-        values = np.where(counts > 0, ev.grid_count / counts, float(ev.grid_count**2))
+        values = np.where(counts > 0, ev.grid_count / counts, 2.0 * ev.grid_count)
     got = ev.fitness(block)
     assert got.shape == (len(block),)
     assert np.array_equal(got, values)
@@ -760,27 +795,33 @@ def test_run_kernel_equals_interval_test_and_naive_coverage(seed, rows):
     sensors.insert(int(rng.integers(len(sensors) + 1)), Sensor(5.0, 5.0, 0.5, PI / 2))  # no candidate
     ev = CoverageEvaluator(sensors, RUN_FIELD)
     assert ev._counts.min() == 0
-    intervals = entry_intervals(ev, [s.view_angle / 2.0 for s in sensors])
+    entries = candidate_parts(sensors, RUN_FIELD)
+    grids = [idx for idx, _, _ in entries]
+    intervals = entry_intervals(entries, [s.view_angle / 2.0 for s in sensors])
     block = probe_block(intervals, rng, rows)
-    expected = assert_kernel_matches(ev, intervals, block)
+    expected = assert_kernel_matches(ev, grids, intervals, block)
     for row, mask in zip(block, expected):
         assert np.array_equal(coverage_naive(with_deviations(sensors, row), RUN_FIELD).covered, mask)
-    assert_kernel_matches(ev, intervals, sweep_block(intervals))
+    assert_kernel_matches(ev, grids, intervals, sweep_block(intervals))
+
+
+HEADLINE_FIELD = CoverageField(500.0, 500.0, 5.0)
 
 
 @pytest.fixture(scope="module")
 def headline():
-    """The evaluator of headline seed 1 and its deployed angles."""
-    field = CoverageField(500.0, 500.0, 5.0)
-    sensors = random_deployment(field, 110, 60.0, PI / 2, RandomSource(1))
-    return CoverageEvaluator(sensors, field), np.array([s.deviation for s in sensors])
+    """The evaluator of headline seed 1, its deployed angles and its sensors."""
+    sensors = random_deployment(HEADLINE_FIELD, 110, 60.0, PI / 2, RandomSource(1))
+    return CoverageEvaluator(sensors, HEADLINE_FIELD), np.array([s.deviation for s in sensors]), sensors
 
 
 def test_run_kernel_on_the_headline_instance(headline):
-    ev, _ = headline
+    ev, _, sensors = headline
     assert ev._segment_sensor.size == 110  # no cuts: every sensor's bounds rise together
-    intervals = entry_intervals(ev, np.full(110, PI / 4))
-    assert_kernel_matches(ev, intervals, probe_block(intervals, np.random.default_rng(1), 50))
+    entries = candidate_parts(sensors, HEADLINE_FIELD)
+    intervals = entry_intervals(entries, np.full(110, PI / 4))
+    block = probe_block(intervals, np.random.default_rng(1), 50)
+    assert_kernel_matches(ev, [idx for idx, _, _ in entries], intervals, block)
 
 
 def test_run_layout_unwraps_puts_full_sets_last_and_cuts_where_ends_fall():
@@ -829,6 +870,7 @@ def test_run_kernel_cuts_where_upper_bounds_fall(seed, rows):
     (lo, hi), = built
     cuts = np.cumsum(ev._counts)[:-1]
     intervals = list(zip(np.split(lo, cuts), np.split(hi, cuts)))
+    grids = [idx for idx, _, _ in candidate_parts(sensors, RUN_FIELD)]
     # each segment's merged keys are sorted and end in the sentinel; each
     # entry gives one lower key
     keys, base = ev._lookup._keys, ev._lookup._base
@@ -842,9 +884,9 @@ def test_run_kernel_cuts_where_upper_bounds_fall(seed, rows):
     gaps = ev._slot_first + ev._slot_count
     assert sorted(ev._grid_slots.tolist() + gaps.tolist()) == list(range(ev._slots))
     sizes = np.diff(np.append(ev._grid_starts, ev._grid_slots.size))
-    assert sorted(np.repeat(ev._grids, sizes).tolist()) == sorted(ev._idx.tolist())
-    assert_kernel_matches(ev, intervals, probe_block(intervals, rng, rows))
-    assert_kernel_matches(ev, intervals, sweep_block(intervals))
+    assert sorted(np.repeat(ev._grids, sizes).tolist()) == sorted(np.concatenate(grids).tolist())
+    assert_kernel_matches(ev, grids, intervals, probe_block(intervals, rng, rows))
+    assert_kernel_matches(ev, grids, intervals, sweep_block(intervals))
 
 
 def lookup_intervals(rng, size):
@@ -899,14 +941,16 @@ def test_bucketed_lookup_equals_the_three_searches(seed):
 STEP = PI / 90  # enhance.ROTATION_STEP
 
 
-def recount(ev, sensed, thetas):
-    """Per grid, the sensors among the first len(thetas) that sense it.
+def recount(entries, sensed, thetas):
+    """Per grid of RUN_FIELD, the sensors among the first len(thetas) that sense it.
 
-    ``sensed(j, theta)`` masks sensor j's candidate grids at a canonical angle.
+    ``entries`` holds each sensor's candidate grids, bearings and
+    zero-distance flags; ``sensed(j, theta)`` masks sensor j's candidate
+    grids at a canonical angle.
     """
-    counts = np.zeros(ev.grid_count, dtype=np.int64)
+    counts = np.zeros(RUN_FIELD.grid_count, dtype=np.int64)
     for j, theta in enumerate(thetas):
-        np.add.at(counts, ev.per_sensor[j][0][sensed(j, canonicalize_scalar(theta))], 1)
+        np.add.at(counts, entries[j][0][sensed(j, canonicalize_scalar(theta))], 1)
     return counts
 
 
@@ -921,6 +965,7 @@ def test_run_deltas_keep_counts_equal_to_a_recount(seed, cut):
         else:
             x, y = rng.uniform(0.0, 60.0, 2)
         sensors.append(Sensor(x, y, rng.uniform(3.0, 30.0), RUN_VIEWS[rng.integers(len(RUN_VIEWS))]))
+    entries = candidate_parts(sensors, RUN_FIELD)
     if cut:  # crafted intervals, so that sensors have several segments
         built = []
 
@@ -939,7 +984,7 @@ def test_run_deltas_keep_counts_equal_to_a_recount(seed, cut):
         ev = CoverageEvaluator(sensors, RUN_FIELD)
 
         def sensed(j, theta):
-            _, bearing, zero = ev.per_sensor[j]
+            _, bearing, zero = entries[j]
             half = sensors[j].view_angle / 2.0
             return zero | _sensed(bearing, half, TWO_PI - half, theta)
 
@@ -955,7 +1000,7 @@ def test_run_deltas_keep_counts_equal_to_a_recount(seed, cut):
     thetas = rng.choice([0.0, STEP / 2, LAST, TWO_PI - STEP / 3, TWO_PI], len(sensors)).tolist()
     for i in range(len(sensors)):  # the first pass starts from (0, 0, n)
         sense(i)
-        assert np.array_equal(counts, recount(ev, sensed, thetas[: i + 1]))
+        assert np.array_equal(counts, recount(entries, sensed, thetas[: i + 1]))
     jumps = [0.0, -0.0, LAST, TWO_PI, PI, 7.0, -1.0]
     for i in rng.integers(0, len(sensors), 80).tolist():
         if rng.uniform() < 0.25:  # an arbitrary jump
@@ -963,7 +1008,37 @@ def test_run_deltas_keep_counts_equal_to_a_recount(seed, cut):
         else:  # one rotation step, as VFA takes it
             thetas[i] = (thetas[i] + (STEP if rng.uniform() < 0.5 else -STEP)) % TWO_PI
         sense(i)
-        assert np.array_equal(counts, recount(ev, sensed, thetas))
+        assert np.array_equal(counts, recount(entries, sensed, thetas))
+
+
+def assert_geometry_from_run_grids(ev, sensors, field):
+    """VFA's candidate grids, bearings and zero flags, rebuilt from ``run_grids``,
+    equal ``_candidate_entries``'s to the bit."""
+    assert len(ev.run_grids) == len(sensors)
+    for sensor, segments, expected in zip(sensors, ev.run_grids, candidate_parts(sensors, field)):
+        idx, bearing, zero = _candidate_geometry(sensor, field, segments)
+        assert idx.dtype == expected[0].dtype and np.array_equal(idx, expected[0])
+        assert np.array_equal(bearing.view(np.int64), expected[1].view(np.int64))
+        assert zero.dtype == bool and np.array_equal(zero, expected[2])
+
+
+def test_vfa_geometry_from_run_grids_is_candidate_entries_to_the_bit(headline):
+    ev, _, sensors = headline
+    assert_geometry_from_run_grids(ev, sensors, HEADLINE_FIELD)
+    # a sensor on a centroid (a zero-distance entry), one with no candidate
+    # grid and two more; under crafted intervals the sensors have several
+    # segments each
+    sensors = [Sensor(27.5, 27.5, 20.0, PI / 2), Sensor(5.0, 5.0, 0.5, PI),
+               Sensor(40.0, 17.5, 15.0, PI / 3), Sensor(12.0, 40.0, 9.0, 2 * PI)]
+    ev = CoverageEvaluator(sensors, RUN_FIELD)
+    assert ev.run_grids[1] == [] and candidate_parts(sensors, RUN_FIELD)[0][2].sum() == 1
+    assert_geometry_from_run_grids(ev, sensors, RUN_FIELD)
+    rng = np.random.default_rng(7)
+    with mock.patch("armyant.coverage._sensing_intervals",
+                    lambda bearing, half, zero: crafted_intervals(rng, len(bearing))):
+        ev = CoverageEvaluator(sensors, RUN_FIELD)
+    assert min(len(ev.run_grids[i]) for i in (0, 2, 3)) > 1
+    assert_geometry_from_run_grids(ev, sensors, RUN_FIELD)
 
 
 # --- evaluator results are fresh and the evaluator is read-only -------------------------
@@ -992,6 +1067,7 @@ THREADED_EVALUATIONS = """
 import math, sys, threading
 import numpy as np
 from armyant.coverage import CoverageEvaluator, CoverageField, random_deployment
+from armyant.enhance import _candidate_geometry
 from armyant.rng import RandomSource
 
 field = CoverageField(500.0, 500.0, 5.0)
@@ -1047,7 +1123,7 @@ def test_one_evaluator_shared_by_threads_matches_serial_results():
 def test_non_finite_angles_are_rejected_naming_row_and_sensor(headline, bad):
     # a NaN or infinite angle used to select meaningless runs: the deployed
     # rate 0.6394 became 0.6427 with a NaN at sensor 3
-    ev, deployed = headline
+    ev, deployed, _ = headline
     angles = deployed.copy()
     angles[3] = bad
     message = f"row 0: the angle of sensor 3 must be finite, got {bad}"
@@ -1074,7 +1150,7 @@ def test_non_finite_angles_are_rejected_naming_row_and_sensor(headline, bad):
 def test_one_block_evaluation_allocates_under_two_megabytes(headline):
     # a 50-row pass holds a few slot-sized arrays (about 0.8 MB in all); a
     # large per-call temporary would show here, not as timing noise
-    ev, _ = headline
+    ev, _, _ = headline
     block = np.random.default_rng(3).uniform(0.0, TWO_PI, (50, 110))
     ev.fitness(block)
     tracemalloc.start()
@@ -1086,11 +1162,10 @@ def test_one_block_evaluation_allocates_under_two_megabytes(headline):
     assert peak < 2_000_000
 
 
-def test_headline_evaluator_retains_under_3_8_megabytes():
-    # 3.66 MB (tracemalloc, numpy 2.4): the candidate entries, their grids in
-    # run order and the slot arrays take about 1.7 MB; the lookup's merged
-    # keys, prefix counts and bucket tables, the one copy of the bounds, add
-    # about 1.9 MB
+def test_headline_evaluator_retains_under_2_9_megabytes():
+    # 2.83 MB (tracemalloc, numpy 2.4): the entries' grids in run order and
+    # the slot arrays take about 0.9 MB; the lookup's merged keys, prefix
+    # counts and bucket tables, the one copy of the bounds, add about 1.9 MB
     field = CoverageField(500.0, 500.0, 5.0)
     sensors = random_deployment(field, 110, 60.0, PI / 2, RandomSource(1))
     tracemalloc.start()
@@ -1100,14 +1175,15 @@ def test_headline_evaluator_retains_under_3_8_megabytes():
     finally:
         tracemalloc.stop()
     assert ev.grid_count == 10_000
-    assert retained < 3_800_000
+    assert retained < 2_900_000
 
 
 def test_fine_grid_evaluator_keeps_one_sensing_representation():
-    # 283,144 entries on a 2 m grid retain 22.76 MB (tracemalloc, numpy 2.4):
+    # 283,144 entries on a 2 m grid retain 17.87 MB (tracemalloc, numpy 2.4):
     # no interval arrays in candidate order beside the run layout, no bounds
-    # in run order beside the lookup's merged keys, and no Python list per
-    # entry
+    # in run order beside the lookup's merged keys, no grids, bearings or
+    # zero-distance flags in candidate order beside the grids in run order,
+    # and no Python list per entry
     field = CoverageField(500.0, 500.0, 2.0)
     sensors = random_deployment(field, 110, 60.0, PI / 2, RandomSource(1))
     tracemalloc.start()
@@ -1116,9 +1192,13 @@ def test_fine_grid_evaluator_keeps_one_sensing_representation():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert ev._idx.size == 283_144
-    assert retained < 23_500_000
-    assert not {"_lo", "_hi", "_in_order", "_parts", "_run_lower", "_run_upper"} & set(vars(ev))
+    assert ev._grid_slots.size == 283_144
+    assert retained < 18_500_000
+    kept = set(vars(ev))
+    assert not {"_lo", "_hi", "_in_order", "_parts", "_run_lower", "_run_upper"} & kept
+    assert not {"per_sensor", "_idx", "_segments"} & kept
+    # nor any bearings (float) or zero-distance flags (bool)
+    assert not [name for name, v in vars(ev).items() if isinstance(v, np.ndarray) and v.dtype.kind in "fb"]
     assert all(len(v) <= len(sensors) for v in vars(ev).values() if isinstance(v, list))
 
 

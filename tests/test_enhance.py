@@ -59,20 +59,23 @@ def test_two_colocated_sensors_reach_disjoint_cones():
     ("vfa", lambda s, f, seed: enhance_vfa(s, f, 15)),
 ])
 def test_enhancement_run_contract(name, runner):
-    field, sensors = headline_instance(seed=5)
-    before = [(s.x, s.y, s.deviation) for s in sensors]
-    run = runner(sensors, field, 5)
+    # also on one grid that the one sensor does not reach, where zero
+    # coverage must read 0.0, not the 1.0 of full coverage
+    one_grid = aa.CoverageField(5, 5, 5), [aa.Sensor(0.1, 0.1, 3.0, 0.2, PI)]
+    for field, sensors in (headline_instance(seed=5), one_grid):
+        before = [(s.x, s.y, s.deviation) for s in sensors]
+        run = runner(sensors, field, 5)
 
-    assert np.all(np.diff(run.curve) >= 0.0)            # best-so-far coverage
-    assert run.curve[0] >= run.initial_rate
-    assert run.final_rate == run.curve[-1]
-    assert run.final_rate >= run.initial_rate
-    # round trip: recompute coverage of the returned angles from scratch
-    assert np.all((run.best_angles >= 0.0) & (run.best_angles < 2 * PI))
-    final = aa.coverage(with_deviations(sensors, run.best_angles), field)
-    assert final.rate == run.final_rate
-    # node positions never change and inputs are not mutated
-    assert [(s.x, s.y, s.deviation) for s in sensors] == before
+        assert np.all(np.diff(run.curve) >= 0.0)            # best-so-far coverage
+        assert run.curve[0] >= run.initial_rate
+        assert run.final_rate == run.curve[-1]
+        assert run.final_rate >= run.initial_rate
+        # round trip: recompute coverage of the returned angles from scratch
+        assert np.all((run.best_angles >= 0.0) & (run.best_angles < 2 * PI))
+        final = aa.coverage(with_deviations(sensors, run.best_angles), field)
+        assert final.rate == run.final_rate
+        # node positions never change and inputs are not mutated
+        assert [(s.x, s.y, s.deviation) for s in sensors] == before
 
 
 @pytest.mark.parametrize("runner", [
