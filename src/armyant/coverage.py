@@ -691,11 +691,11 @@ class CoverageEvaluator:
     def __init__(self, sensors, field):
         sensors = list(sensors)
         self.grid_count = field.grid_count
-        idx, bearing, zero, self._counts = _candidate_entries(sensors, field)
-        half = np.repeat([s.view_angle / 2.0 for s in sensors], self._counts)
+        idx, bearing, zero, counts = _candidate_entries(sensors, field)
+        half = np.repeat([s.view_angle / 2.0 for s in sensors], counts)
         lo, hi = _sensing_intervals(bearing, half, zero)
         del bearing, zero, half
-        order, start, end, first, stop, self._segment_sensor = _run_layout(lo, hi, self._counts)
+        order, start, end, first, stop, self._segment_sensor = _run_layout(lo, hi, counts)
         del lo, hi  # freed before the lookup's sort, which sets the build's peak
         self._lookup = _RunLookup(start, end, first, stop)
         del start, end
@@ -743,7 +743,7 @@ class CoverageEvaluator:
 
     def _check(self, block):
         """Reject a block that is not (n, sensors) or holds a non-finite angle."""
-        if block.ndim != 2 or block.shape[1] != self._counts.size:
+        if block.ndim != 2 or block.shape[1] != len(self.run_grids):
             raise ValueError("need exactly one angle per sensor")
         if not np.isfinite(block).all():
             row, sensor = np.argwhere(~np.isfinite(block))[0].tolist()
@@ -866,19 +866,14 @@ def move_counts(counts, old, new):
 
 
 def coverage(sensors, field):
-    """Coverage of the field by the sensors (pruned candidate-grid path).
+    """Coverage of the field by the sensors at their deviations.
 
-    One evaluation, so it tests each candidate entry with ``_sensed``
-    directly instead of building the evaluator's intervals, which are read
-    off that same test: the two give the same mask.
+    One ``CoverageEvaluator`` pass, the kernel every search runs. A
+    non-finite deviation assigned after construction raises ``ValueError``
+    naming its sensor.
     """
     sensors = list(sensors)
-    idx, bearing, zero, counts = _candidate_entries(sensors, field)
-    half = np.repeat([s.view_angle / 2.0 for s in sensors], counts)
-    # a deviation set after construction may lie outside [0, 2*pi)
-    theta = np.repeat(canonicalize_angle(np.array([s.deviation for s in sensors])), counts)
-    covered = np.zeros(field.grid_count, dtype=bool)
-    covered[idx[zero | _sensed(bearing, half, TWO_PI - half, theta)]] = True
+    covered = CoverageEvaluator(sensors, field).covered_mask([s.deviation for s in sensors])
     return CoverageResult(covered, int(np.count_nonzero(covered)) / field.grid_count)
 
 

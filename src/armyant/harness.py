@@ -12,7 +12,7 @@ import numpy as np
 
 from . import baselines, optimizer
 from .benchmarks import get_benchmark
-from .config import ALGORITHMS
+from .config import ALGORITHMS, _check_distinct
 from .enhance import enhance_aaso, enhance_pso, enhance_vfa
 from .rng import RandomSource
 
@@ -82,9 +82,13 @@ def compare_cover(deploy, field, algorithms, seeds, config):
     share seed ``s``'s stream. VFA runs ``config.max_iters`` iterations.
     Returns ``{seed: (sensors, {algorithm: EnhancementRun})}`` in seed order
     and the ``(seed, "deploy" or algorithm, message)`` of every
-    ``ValueError`` or ``OSError``. Other exceptions propagate.
+    ``ValueError`` or ``OSError``. Other exceptions propagate. A repeated
+    seed or algorithm raises ``ValueError`` before the first deployment.
     """
+    seeds, algorithms = list(seeds), list(algorithms)
     _check_algorithms(algorithms, "cover")
+    _check_distinct("seeds", seeds)
+    _check_distinct("algorithms", algorithms)
     deployments, failures = {}, []
     for seed in seeds:
         try:

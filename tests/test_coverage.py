@@ -181,6 +181,19 @@ def test_zero_sensors_zero_rate():
     assert not result.covered.any()
 
 
+def test_coverage_reads_deviations_assigned_after_construction():
+    field = CoverageField(100, 80, 5)
+    sensors = random_deployment(field, 6, 25.0, PI / 2, RandomSource(4))
+    expected = coverage(sensors, field)
+    sensors[0].deviation += TWO_PI
+    assert np.array_equal(coverage(sensors, field).covered, expected.covered)
+    # a non-finite deviation used to score as 0.0 coverage for its sensor
+    for bad in (math.nan, math.inf, -math.inf):
+        sensors[0].deviation = bad
+        with pytest.raises(ValueError, match=f"the angle of sensor 0 must be finite, got {bad}"):
+            coverage(sensors, field)
+
+
 def test_sector_area_oracle():
     # one centered sensor with a lattice-generic bisector: the centroid count
     # reproduces the analytic sector area within two grid cells
@@ -460,9 +473,7 @@ def test_canonical_block_is_canonicalize_angle_to_the_bit():
 
 @settings(max_examples=25)
 @given(st.integers(0, 10_000))
-def test_evaluator_matches_oneshot_coverage(seed):
-    # the one-shot path tests entries directly; the evaluator tests the
-    # intervals read off that test: the masks must agree
+def test_evaluator_matches_naive_coverage(seed):
     rng = RandomSource(seed)
     field = CoverageField(100, 100, 5)
     sensors = random_deployment(
@@ -473,12 +484,12 @@ def test_evaluator_matches_oneshot_coverage(seed):
                 Sensor(20.0, 70.0, 15.0, 2 * PI, 1.0)]
     ev = CoverageEvaluator(sensors, field)
     angles = np.array([s.deviation for s in sensors])
-    assert np.array_equal(ev.covered_mask(angles), coverage(sensors, field).covered)
-    assert ev.rate(angles) == coverage(sensors, field).rate
+    assert np.array_equal(ev.covered_mask(angles), coverage_naive(sensors, field).covered)
+    assert ev.rate(angles) == coverage_naive(sensors, field).rate
     # a deviation assigned after construction is not canonicalized yet
     sensors[0].deviation += 4 * PI
     angles = np.array([s.deviation for s in sensors])
-    assert np.array_equal(ev.covered_mask(angles), coverage(sensors, field).covered)
+    assert np.array_equal(ev.covered_mask(angles), coverage_naive(sensors, field).covered)
 
 
 # --- exact two-add reduction (module docstring) ----------------------------------------
@@ -794,9 +805,9 @@ def test_run_kernel_equals_interval_test_and_naive_coverage(seed, rows):
         sensors.append(Sensor(x, y, rng.uniform(3.0, 30.0), view))
     sensors.insert(int(rng.integers(len(sensors) + 1)), Sensor(5.0, 5.0, 0.5, PI / 2))  # no candidate
     ev = CoverageEvaluator(sensors, RUN_FIELD)
-    assert ev._counts.min() == 0
     entries = candidate_parts(sensors, RUN_FIELD)
     grids = [idx for idx, _, _ in entries]
+    assert min(idx.size for idx in grids) == 0
     intervals = entry_intervals(entries, [s.view_angle / 2.0 for s in sensors])
     block = probe_block(intervals, rng, rows)
     expected = assert_kernel_matches(ev, grids, intervals, block)
@@ -868,9 +879,9 @@ def test_run_kernel_cuts_where_upper_bounds_fall(seed, rows):
     with mock.patch("armyant.coverage._sensing_intervals", crafted):
         ev = CoverageEvaluator(sensors, RUN_FIELD)
     (lo, hi), = built
-    cuts = np.cumsum(ev._counts)[:-1]
-    intervals = list(zip(np.split(lo, cuts), np.split(hi, cuts)))
     grids = [idx for idx, _, _ in candidate_parts(sensors, RUN_FIELD)]
+    cuts = np.cumsum([idx.size for idx in grids])[:-1]
+    intervals = list(zip(np.split(lo, cuts), np.split(hi, cuts)))
     # each segment's merged keys are sorted and end in the sentinel; each
     # entry gives one lower key
     keys, base = ev._lookup._keys, ev._lookup._base
@@ -879,7 +890,7 @@ def test_run_kernel_cuts_where_upper_bounds_fall(seed, rows):
     for segment, stop, count in zip(np.split(keys, base[1:]), stops, ev._slot_count):
         assert np.all(segment[1:] >= segment[:-1]) and segment[-1] == sentinel
         assert ev._lookup._lower[stop - 1] == count
-    assert ev._segment_sensor.size > np.count_nonzero(ev._counts)  # cuts were needed
+    assert ev._segment_sensor.size > sum(idx.size > 0 for idx in grids)  # cuts were needed
     # every entry has one slot, none of them a segment's gap slot, and its grid's group
     gaps = ev._slot_first + ev._slot_count
     assert sorted(ev._grid_slots.tolist() + gaps.tolist()) == list(range(ev._slots))
@@ -976,7 +987,8 @@ def test_run_deltas_keep_counts_equal_to_a_recount(seed, cut):
         with mock.patch("armyant.coverage._sensing_intervals", crafted):
             ev = CoverageEvaluator(sensors, RUN_FIELD)
         (lo, hi), = built
-        intervals = list(zip(*(np.split(bound, np.cumsum(ev._counts)[:-1]) for bound in (lo, hi))))
+        cuts = np.cumsum([idx.size for idx, _, _ in entries])[:-1]
+        intervals = list(zip(*(np.split(bound, cuts) for bound in (lo, hi))))
 
         def sensed(j, theta):
             return interval_test(theta, *intervals[j])

@@ -150,6 +150,27 @@ def test_compare_cover_checks_every_name_before_the_first_deployment():
     assert calls == []
 
 
+def test_compare_cover_rejects_a_repeated_seed_or_algorithm_before_the_first_deployment():
+    # the result is keyed by seed and algorithm: a repeat used to run and
+    # then be dropped without notice
+    calls = []
+
+    def spy(rng):
+        calls.append(rng)
+        return deploy(rng)
+
+    for algorithms, seeds, message in (
+        (["aaso", "aaso"], [1], "algorithms lists 'aaso' more than once"),
+        (["vfa"], [1, 2, 1], "seeds lists 1 more than once"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            compare_cover(spy, FIELD, algorithms, seeds, COVER_CONFIG)
+    assert calls == []
+    # the check reads the seeds and algorithms once, so iterators still run
+    deployments, _ = compare_cover(spy, FIELD, iter(["vfa"]), iter([1, 2]), COVER_CONFIG)
+    assert [list(runs) for _, runs in deployments.values()] == [["vfa"], ["vfa"]]
+
+
 def test_compare_cover_failed_deployment_skips_only_its_seed():
     def deploy_all_but_2(rng):
         sensors = deploy(rng)
