@@ -73,6 +73,8 @@ class ExperimentSpec:
                     f"(allowed: {', '.join(allowed)})"
                 )
         if self.kind == "bench":
+            if not self.functions:
+                raise ValueError("need at least one function")
             for f_name in self.functions:
                 if f_name not in FUNCTION_NAMES:
                     raise ValueError(f"unknown benchmark function {f_name!r}")

@@ -34,7 +34,6 @@ population after the sweep, plus one block of the bridge candidates when
 the bridge fires.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -109,25 +108,22 @@ def avg_recruits(t, config):
     return config.recruit_init + (n - config.recruit_init) * t / config.max_iters
 
 
-@functools.lru_cache(maxsize=16)
-def log_factorials(n_max):
-    """log(k!) for k = 0..n_max, cached per n_max and read-only."""
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_max + 1)))))
-    log_fact.flags.writeable = False
-    return log_fact
-
-
 def truncated_poisson_pmf(lam, n_max):
     """Poisson(lam) pmf truncated to {0..n_max} and renormalized.
 
-    Computed in log space so lam near n_max ~ 100 cannot overflow the
-    factorial term.
+    Built from the ratio p_k / p_(k-1) = lam / k outward from the mode
+    m = min(floor(lam), n_max), whose weight is 1: every other weight is a
+    running product of ratios at most 1, so none can overflow. There is no
+    ``exp`` or ``log`` here. NumPy's loops for those round differently with
+    and without AVX-512, while multiplication and division are correctly
+    rounded, so the wheel has the same bytes on every CPU.
     """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    k = np.arange(n_max + 1)
-    log_p = k * math.log(lam) - lam - log_factorials(n_max)
-    p = np.exp(log_p - log_p.max())
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
+    m = min(math.floor(lam), n_max)
+    below = np.cumprod(np.arange(m, 0, -1) / lam)[::-1]  # p_0 .. p_(m-1)
+    above = np.cumprod(lam / np.arange(m + 1, n_max + 1))
+    p = np.concatenate((below, [1.0], above))
     return p / p.sum()
 
 
@@ -330,7 +326,6 @@ def run(objective, space, config, rng, observer=None, seed_positions=None):
     prey, prey_fitness = merge_archive(np.empty((0, d)), np.empty(0), positions, fitness)
     history = [prey_fitness[0]]
     stagnation = 0
-    others = [np.delete(np.arange(n), i) for i in range(n)]  # a follower's companions
 
     for t in range(1, config.max_iters + 1):
         recruit_map = recruit(min(prey_count(t, config.max_iters), len(prey)), config, t, rng)
@@ -346,7 +341,8 @@ def run(objective, space, config, rng, observer=None, seed_positions=None):
                 eps.append(rng.normal(k * d))
                 r.append(rng.uniform_open())
             else:
-                pair = others[i][rng.choice_without_replacement(n - 1, 2)]
+                # two companions other than ant i, skipping over its index
+                pair = [c + (c >= i) for c in rng.choice_without_replacement(n - 1, 2).tolist()]
                 follow.append((i, pair, rng.cauchy((2, d))))
 
         # recruited block, then the follower chain (see the module docstring)

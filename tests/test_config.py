@@ -172,11 +172,13 @@ def test_non_finite_values_rejected_at_parse_with_path(tmp_path, key, message, v
     ("kind = cover\nalgorithms = vfa,vfa\n", "algorithms lists 'vfa' more than once"),
     ("kind = bench\nfunctions = sphere,ackley,sphere\n",
      "functions lists 'sphere' more than once"),
+    ("kind = bench\nfunctions =\n", "need at least one function"),
 ], ids=["negative_seed_range", "negative_seed_list", "negative_base_seed", "repeated_seed",
-        "repeated_algorithm", "repeated_function"])
+        "repeated_algorithm", "repeated_function", "empty_functions"])
 def test_seed_and_list_values_rejected_at_parse_with_path(tmp_path, text, message):
     # a negative seed failed only when its run started; a repeated entry ran,
-    # wrote and summarized the same runs twice
+    # wrote and summarized the same runs twice; an empty function list wrote
+    # a header-only statistics.csv and exited 0
     path = write(tmp_path, text)
     with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
         parse_config(path)
