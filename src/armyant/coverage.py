@@ -153,26 +153,31 @@ key above k.
 
 The rows of a block are then evaluated together, bit-parallel across
 rows in the manner of shift-or string matching (Baeza-Yates & Gonnet
-1992): row i of a pass of at most 53 rows is bit i of a uint64 word. The
-entries lie in run order, segment by segment, with one empty slot after
-each segment. For each of its non-empty runs, a row marks the slot of the
-run's first entry and the slot just past its last; where the first run
-ends at the second's start (b == a2), the two are one run and that slot
-is not marked. A running XOR over the slots then holds, at each entry,
-the rows whose runs contain it. The slot past a segment's last entry is
-its gap slot, so an end mark never lands on the next segment's first
-entry.
+1992): row i of a pass of at most 51 rows is bit i of an int64 word. The
+entries lie in run order, segment by segment. Since 1 - [x < c] is
+[x >= c], VFA's indicator [x < b] - [x < a] - [x < a2] + 1 of entry x of
+a segment of n entries is [x >= a] + [x >= a2] - [x >= b], a running sum
+of signed steps. Row i marks them as +2**i at the positions of a and a2
+and -2**i at the position of b, and adds -2**i at the segment's end n:
+as a, a2 and b are at most n, that step cancels the other three from the
+end on, so the running sum is 0 again where the next segment starts. A
+running sum over the entries in run order then holds, at each entry, the
+sum of 2**i over the rows that sense it.
 
-One weighted ``bincount`` marks the slots by adding 2.0**i for row i. The
-gaps and the merge leave no slot marked twice by one row, so a slot's sum
-is a sum of distinct powers of two below 2**53: every partial sum is an
-integer below 2**53, exact in float64, and the sum equals the XOR of the
-bits. Cast to uint64, one in-place ``bitwise_xor.accumulate`` gives every
-entry its word. A ``bitwise_or.reduceat`` over the entries regrouped grid
-by grid (at build) gives one word per grid, and a 256-bin histogram of
-each of the words' eight bytes, times the bits of each byte value, gives
-each row's count of covered grids. Past the lookup, the cost of a pass
-follows the number of entries, not the rows times the sensed entries.
+One weighted ``bincount`` over the entry positions adds the marks (the
+last segment's end mark falls past the last entry, where no entry reads
+it). One row marks a position at most seven times: a segment's end mark,
+and its a, a2 and b where they equal n, fall on the next segment's first
+entry, where that segment's a, a2 and b can fall too. Those are four
++2**i and three -2**i, so with every i below 51, every partial sum, in
+whatever order the adds come, is an integer of magnitude below
+4 * 2**51 = 2**53, exact in float64. Cast to int64, one ``cumsum`` gives
+every entry its word. A ``bitwise_or.reduceat`` over the entries
+regrouped grid by grid (at build) gives one word per grid, and a 256-bin
+histogram of each of the words' eight bytes, times the bits of each byte
+value, gives each row's count of covered grids. Past the lookup, the cost
+of a pass follows the number of entries, not the rows times the sensed
+entries.
 """
 
 import csv
@@ -445,9 +450,10 @@ def _bisect_intervals(bearing, half, upper):
 
 
 _USPAN = np.uint64(_SPAN)
-# rows per bit-parallel pass: row i is bit i, and a sum of distinct powers of
-# two below 2**53 is an exact double (module docstring)
-_WORD = 53
+# rows per bit-parallel pass: row i is bit i, and a position's seven signed
+# marks per row keep every partial sum of the marks below 4 * 2**51 = 2**53,
+# exact in float64 (module docstring)
+_WORD = 51
 # _BYTE_BITS[v, i] is bit i of the byte value v
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
@@ -679,10 +685,10 @@ class CoverageEvaluator:
       per segment, and ``_segment_first[i]``, the number of its first
       segment (a sensor's segments are numbered consecutively);
     - for the bit-parallel pass, per segment, its sensor
-      ``_segment_sensor``, its first slot ``_slot_first`` and its entry
-      count ``_slot_count`` (a segment's gap slot follows its last entry),
-      and the entries' slots grouped grid by grid, ``_grid_slots``, with
-      each group's start ``_grid_starts`` and grid ``_grids``.
+      ``_segment_sensor``, the run-order position of its first entry
+      ``_entry_first`` and its entry count ``_entry_count``, and the
+      entries' run-order positions grouped grid by grid, ``_grid_slots``,
+      with each group's start ``_grid_starts`` and grid ``_grids``.
 
     Nothing is written after the build: every evaluation allocates its own
     arrays, so one evaluator may be shared by several threads.
@@ -708,16 +714,10 @@ class CoverageEvaluator:
         self.run_grids = [[] for _ in sensors]
         for f, e, sensor in zip(first.tolist(), stop.tolist(), self._segment_sensor.tolist()):
             self.run_grids[sensor].append(entry_grids[f:e])
-        # segment s's entries take the slots from first + s on: one gap slot
-        # follows each segment
-        segment = np.arange(first.size)
-        self._slot_first = first + segment
-        self._slot_count = stop - first
-        self._slots = entry_grids.size + first.size
-        slot = np.arange(entry_grids.size) + np.repeat(segment, self._slot_count)
-        by_grid = np.argsort(entry_grids, kind="stable")
-        grids = entry_grids[by_grid]
-        self._grid_slots = slot[by_grid]
+        self._entry_first = first
+        self._entry_count = stop - first
+        self._grid_slots = np.argsort(entry_grids, kind="stable")
+        grids = entry_grids[self._grid_slots]
         self._grid_starts = np.flatnonzero(np.diff(grids, prepend=-1))
         self._grids = grids[self._grid_starts]
 
@@ -753,13 +753,12 @@ class CoverageEvaluator:
             )
 
     def _marks(self, block):
-        """The slots that a checked block of at most 53 rows marks, and the weights.
+        """The entry positions that a checked block of at most 51 rows marks, and the weights.
 
         One lookup finds the runs of every segment and row (module
-        docstring). Row i marks the start and the end of each of its
-        non-empty runs with 2.0**i, as one flat array of slots and one of
-        weights; a mark that an empty run or a join of two runs drops has
-        weight 0.0.
+        docstring). Row i marks the signed steps of the indicator: +2.0**i
+        at each segment's a and a2, -2.0**i at its b and at its end, as one
+        flat array of run-order positions and one of weights.
         """
         # the intervals hold for theta in [0, 2*pi); canonicalizing also makes
         # 2*pi and 0 evaluate alike
@@ -767,31 +766,27 @@ class CoverageEvaluator:
         # per segment and row, the runs [a, b) and [a2, count) as positions
         # within the segment
         a, a2, b = self._lookup.runs(theta)
-        count = np.broadcast_to(self._slot_count[:, None], a.shape)
-        first_run = a < b  # a <= b: an entry with H' < k has L < k
-        second_run = a2 < count
-        joined = first_run & second_run & (b == a2)
-        weights = np.stack([first_run, second_run ^ joined, first_run ^ joined, second_run])
-        marks = np.stack([a, a2, b, count])
-        marks += self._slot_first[:, None]
-        return marks.ravel(), (weights * 2.0 ** np.arange(len(block))).ravel()
+        marks = np.stack([a, a2, b, np.broadcast_to(self._entry_count[:, None], a.shape)])
+        marks += self._entry_first[:, None]
+        weights = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * 2.0 ** np.arange(len(block))
+        return marks.ravel(), np.broadcast_to(weights, marks.shape).ravel()
 
     def _words(self, block):
         """Per grid of ``_grids``, the rows of a checked block that sense it.
 
-        The block has at most 53 rows; row i is bit i of the grid's word
+        The block has at most 51 rows; row i is bit i of the grid's word
         (module docstring).
         """
-        # each sum is exact and equals the XOR of its slot's marks; the marks
-        # are freed before the slot arrays exist, which keeps the peak of a
-        # pass below the heap's trim threshold and spares page faults
-        slots = np.bincount(*self._marks(block), minlength=self._slots).astype(np.uint64)
-        np.bitwise_xor.accumulate(slots, out=slots)
-        return np.bitwise_or.reduceat(slots.take(self._grid_slots), self._grid_starts)
+        # each position's sum is exact; the marks are freed before the word
+        # array exists, which keeps the peak of a pass below the heap's trim
+        # threshold and spares page faults
+        words = np.bincount(*self._marks(block)).astype(np.int64)
+        np.cumsum(words, out=words)
+        return np.bitwise_or.reduceat(words.take(self._grid_slots), self._grid_starts)
 
     def _covered_counts(self, block):
-        """Covered-grid count of each row of a checked block of at most 53 rows."""
-        lanes = self._words(block).astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        """Covered-grid count of each row of a checked block of at most 51 rows."""
+        lanes = self._words(block).astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
         # byte k of a word holds rows 8k to 8k + 7
         lane_count = (len(block) + 7) // 8
         hist = np.stack([np.bincount(lanes[:, k], minlength=256) for k in range(lane_count)])
@@ -824,11 +819,11 @@ class CoverageEvaluator:
         value, one covered grid, is grid_count. Zero coverage returns the
         finite sentinel 2.0 * grid_count, above every finite value, so the
         objective stays total and ranks it last.
-        The block is evaluated in bit-parallel passes of up to 53 rows
+        The block is evaluated in bit-parallel passes of up to 51 rows
         (module docstring): each pass looks up the runs of every segment and
-        row at once, then marks, XORs and ORs one word per entry and per
-        grid, whatever its number of rows. A non-finite angle raises
-        ``ValueError`` naming its row and sensor.
+        row at once, marks their signed steps, and sums and ORs one word
+        per entry and per grid, whatever its number of rows. A non-finite
+        angle raises ``ValueError`` naming its row and sensor.
         """
         block = np.asarray(angles, dtype=float)
         if block.ndim != 2:

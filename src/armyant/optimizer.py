@@ -35,6 +35,7 @@ the bridge fires.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,13 @@ class OptimizerConfig:
     stagnation_threshold: int = 5
 
     def __post_init__(self):
+        # the searches size arrays and loops by these counts; NumPy integers pass
+        for name in ("population", "max_iters", "stagnation_threshold"):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.population < ARCHIVE_SIZE:
             raise ValueError(
                 f"population must be at least {ARCHIVE_SIZE} (the prey archive "

@@ -736,8 +736,9 @@ def test_covered_mask_matches_reduction_at_interval_bounds():
 
 RUN_FIELD = CoverageField(60, 60, 5)  # centroids at 2.5 + 5k
 RUN_VIEWS = [1e-9, PI / 2, PI, 2 * PI - 1e-12, 2 * PI]
-# block sizes below, at and past the 53 rows of one bit-parallel pass
-BLOCK_ROWS = [0, 1, 25, 50, 52, 53, 54, 107]
+# block sizes below, at and past the 51 rows of one bit-parallel pass: 51 is
+# one full pass and 102 two
+BLOCK_ROWS = [0, 1, 25, 50, 51, 52, 53, 54, 102, 107]
 
 
 def reference_masks(ev, grids, intervals, block):
@@ -887,17 +888,38 @@ def test_run_kernel_cuts_where_upper_bounds_fall(seed, rows):
     keys, base = ev._lookup._keys, ev._lookup._base
     stops = np.append(base[1:], keys.size)
     sentinel = np.float64(TWO_PI).view(np.uint64)
-    for segment, stop, count in zip(np.split(keys, base[1:]), stops, ev._slot_count):
+    for segment, stop, count in zip(np.split(keys, base[1:]), stops, ev._entry_count):
         assert np.all(segment[1:] >= segment[:-1]) and segment[-1] == sentinel
         assert ev._lookup._lower[stop - 1] == count
     assert ev._segment_sensor.size > sum(idx.size > 0 for idx in grids)  # cuts were needed
-    # every entry has one slot, none of them a segment's gap slot, and its grid's group
-    gaps = ev._slot_first + ev._slot_count
-    assert sorted(ev._grid_slots.tolist() + gaps.tolist()) == list(range(ev._slots))
+    # each run-order entry position appears exactly once, in its grid's group
+    assert sorted(ev._grid_slots.tolist()) == list(range(sum(idx.size for idx in grids)))
     sizes = np.diff(np.append(ev._grid_starts, ev._grid_slots.size))
     assert sorted(np.repeat(ev._grids, sizes).tolist()) == sorted(np.concatenate(grids).tolist())
     assert_kernel_matches(ev, grids, intervals, probe_block(intervals, rng, rows))
     assert_kernel_matches(ev, grids, intervals, sweep_block(intervals))
+
+
+def test_run_kernel_marks_stay_exact_where_segments_meet():
+    # sensor 0's entries all end below every row's angle (a = b = a2 = count)
+    # and sensor 1's all wrap past it (a = b = a2 = 0), so in each row the
+    # position of sensor 1's first entry takes four +2**i and three -2**i
+    # marks: the most that the 51-row bound allows
+    sensors = [Sensor(30.0, 30.0, 20.0, PI / 2), Sensor(40.0, 17.5, 15.0, PI / 3)]
+    grids = [idx for idx, _, _ in candidate_parts(sensors, RUN_FIELD)]
+    intervals = [(np.full(idx.size, lo), np.full(idx.size, hi))
+                 for idx, (lo, hi) in zip(grids, [(0.1, 0.2), (6.0, 5.0)])]
+
+    def crafted(bearing, half, zero):
+        return tuple(np.concatenate(bound) for bound in zip(*intervals))
+
+    with mock.patch("armyant.coverage._sensing_intervals", crafted):
+        ev = CoverageEvaluator(sensors, RUN_FIELD)
+    assert ev._entry_count.tolist() == [idx.size for idx in grids]
+    # two full 51-row passes, each with every row piled up on one position
+    block = np.column_stack([np.linspace(1.0, 4.0, 102), np.linspace(4.5, 0.5, 102)])
+    expected = assert_kernel_matches(ev, grids, intervals, block)
+    assert expected.sum(axis=1).tolist() == [grids[1].size] * 102
 
 
 def lookup_intervals(rng, size):
@@ -945,6 +967,34 @@ def test_bucketed_lookup_equals_the_three_searches(seed):
     table = np.split(lookup._buckets, lookup._bucket_first[1:])
     for s in np.flatnonzero(sensors == counts.size - 1):
         assert np.count_nonzero(np.diff(table[s])) == 2
+
+
+@pytest.mark.parametrize("buckets", [16, 256, 4096])
+def test_bucketed_lookup_on_the_first_angle_of_each_bucket(buckets):
+    # keys and queries on the first double of each bucket: a query bucketed by
+    # another rounding of the product (say buckets * fl(theta / 2*pi)) lands
+    # one bucket below some of these keys and misses them
+    scale = np.float64(buckets) / TWO_PI
+    j = np.arange(1, buckets)
+    edge = j / scale
+    for _ in range(4):
+        down = np.nextafter(edge, 0.0)
+        edge = np.where(np.floor(down * scale) >= j, down, edge)
+        edge = np.where(np.floor(edge * scale) < j, np.nextafter(edge, TWO_PI), edge)
+    assert np.all(np.floor(edge * scale) == j) and np.all(np.floor(before(edge) * scale) < j)
+    # bucket j's first angle is the lower key of entry j (j odd) and the
+    # upper key of entry j - 1: every edge below the last holds a key
+    lo, hi = edge[0:-2:2], before(edge[1::2])
+    _, start, end, first, stop, _ = _run_layout(lo, hi, np.array([lo.size]))
+    lookup = _RunLookup(start, end, first, stop)
+    assert lookup._scale.tolist() == [scale]
+    probes = np.concatenate([[0.0], edge, before(edge), after(edge)])
+    a, a2, b = lookup.runs(probes[None])
+    k = probes.view(np.uint64)
+    span = np.float64(TWO_PI).view(np.uint64)
+    assert np.array_equal(a[0], end.searchsorted(k))
+    assert np.array_equal(a2[0], end.searchsorted(k + span))
+    assert np.array_equal(b[0], start.searchsorted(k, side="right"))
 
 
 # --- VFA's run deltas (module docstring) ------------------------------------------------
@@ -1092,7 +1142,7 @@ def grids_of(runs):
     return sorted(g for grids, a, b, a2 in runs for g in [*grids[a:b].tolist(), *grids[a2:].tolist()])
 
 subsets = [grids_of(ev.sensed_subset(k % 110, a[k % 110])) for k, a in enumerate(angles)]
-# two 50-row blocks and one of 60 rows, which takes two bit-parallel passes
+# two 50-row blocks and one of 60 rows, which takes a 51-row bit-parallel pass and a 9-row one
 blocks = [angles[:50], angles[50:], np.random.default_rng(1).uniform(0.0, 2 * math.pi, (60, 110))]
 values = [ev.fitness(b) for b in blocks]
 mismatches = []

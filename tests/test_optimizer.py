@@ -59,6 +59,18 @@ def test_config_defaults_and_validation():
         OptimizerConfig(population=10, max_iters=5, stagnation_threshold=0)
 
 
+def test_config_counts_must_be_integers():
+    # a float count would fail inside a run (array shapes, range) or act rounded up
+    for name in ("population", "max_iters", "stagnation_threshold"):
+        for value in (30.0, 2.5, "30"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                OptimizerConfig(**{name: value})
+    cfg = OptimizerConfig(population=np.int64(30), max_iters=np.int32(10),
+                          stagnation_threshold=np.uint8(2))
+    assert (cfg.population, cfg.max_iters, cfg.stagnation_threshold) == (30, 10, 2)
+    assert all(type(v) is int for v in (cfg.population, cfg.max_iters, cfg.stagnation_threshold))
+
+
 # --- recruitment schedule and sampling ---------------------------------------
 
 def test_avg_recruits_endpoint_is_population():
