@@ -22,16 +22,33 @@ ants 0..N-1 in index order (a recruited ant's scatter vectors in prey
 order, as one normal block, followed by the attack step scalar; or a
 follower's companion indices followed by its Cauchy block); then bridge
 draws if triggered. Each iteration makes its sweep's draws first and
-computes nothing there. The recruited block then moves every recruited
-ant at once, since each reads only its own pre-sweep row and the prey.
-The follower chain last moves followers in index order: a companion with
-a lower index contributes its new row, any other its pre-sweep row, as
-in a sweep that updates positions in place. The attack target must add
-an ant's scatter rows to +0.0 one after another in prey order, as
-``np.mean`` does; another order rounds differently or flips the sign of
-a zero. Objective evaluations consume no draws: one block of the whole
-population after the sweep, plus one block of the bridge candidates when
-the bridge fires.
+computes nothing there. Objective evaluations consume no draws: one block
+of the whole population after the sweep, plus one block of the bridge
+candidates when the bridge fires.
+
+What a run computes once: the recruit wheel of every iteration, as one
+table (``recruit_wheels``) whose row t has the bytes of the wheel built
+for t alone, since the padding in ``truncated_poisson_pmf`` multiplies
+by 1.0.
+
+The attack is one pass over every ant and active prey, in an (N, P, D)
+layout: a pair where the ant is not recruited by that prey gets zero
+noise, and its scatter is multiplied by 0. Each ant reads only its own
+pre-sweep row and the prey. The attack target must add an ant's scatter
+rows to +0.0 one after another in prey order, as ``np.mean`` does; another
+order rounds differently or flips the sign of a zero. The padding rows
+keep every bit of that sum: they add +0.0 or -0.0, x + (+-0.0) = x for
+every x but -0.0, and a sum started at +0.0 never holds -0.0. Followers
+take the attack step with factor 0, which leaves their rows finite.
+
+The follower chain then overwrites the followers' rows in index order: a
+companion with a lower index contributes its new row, any other its
+pre-sweep row, as in a sweep that updates positions in place.
+
+The archive always holds four entries, and existing entries win ties, so
+a block none of whose values lies strictly below the fourth entry leaves
+the archive as it is; the run skips that merge, after the iteration's
+block and after the bridge's.
 """
 
 import math
@@ -117,36 +134,48 @@ def avg_recruits(t, config):
 
 
 def truncated_poisson_pmf(lam, n_max):
-    """Poisson(lam) pmf truncated to {0..n_max} and renormalized.
+    """Poisson(lam) pmf truncated to {0..n_max} and renormalized, one wheel per lam.
 
-    Built from the ratio p_k / p_(k-1) = lam / k outward from the mode
-    m = min(floor(lam), n_max), whose weight is 1: every other weight is a
-    running product of ratios at most 1, so none can overflow. There is no
+    ``lam`` is a scalar or an array; the wheels lie along a new last axis of
+    n_max + 1 weights. Built from the ratio p_k / p_(k-1) = lam / k outward
+    from the mode m = min(floor(lam), n_max), whose weight is 1: every other
+    weight is a running product of ratios at most 1, so none can overflow.
+    Each side's ratios are padded with 1.0 to the whole wheel, which
+    multiplies exactly, and the two sides' products meet at the mode, so a
+    wheel's bytes do not depend on the other values of ``lam``. There is no
     ``exp`` or ``log`` here. NumPy's loops for those round differently with
     and without AVX-512, while multiplication and division are correctly
     rounded, so the wheel has the same bytes on every CPU.
     """
-    if not 0.0 < lam < math.inf:
+    lam = np.asarray(lam, dtype=float)[..., None]
+    if not np.all((0.0 < lam) & (lam < math.inf)):
         raise ValueError("lam must be positive and finite")
-    m = min(math.floor(lam), n_max)
-    below = np.cumprod(np.arange(m, 0, -1) / lam)[::-1]  # p_0 .. p_(m-1)
-    above = np.cumprod(lam / np.arange(m + 1, n_max + 1))
-    p = np.concatenate((below, [1.0], above))
-    return p / p.sum()
+    k = np.arange(n_max + 1)
+    m = np.minimum(np.floor(lam), n_max)
+    # below the mode p_k = p_(k+1) * (k + 1) / lam, multiplied from the mode down
+    below = np.cumprod(np.where(k < m, (k + 1) / lam, 1.0)[..., ::-1], axis=-1)[..., ::-1]
+    above = np.cumprod(np.where(k > m, lam / np.maximum(k, 1), 1.0), axis=-1)
+    p = below * above
+    return p / p.sum(axis=-1, keepdims=True)
 
 
-def recruit(n_prey, config, t, rng):
-    """Recruit map for the ``n_prey`` active prey at iteration t.
+def recruit_wheels(config):
+    """The run's recruit wheels: row t is ``truncated_poisson_pmf(avg_recruits(t, config), N)``."""
+    lam = avg_recruits(np.arange(config.max_iters + 1), config)
+    return truncated_poisson_pmf(lam, config.population)
 
-    Each active prey independently draws its recruit count from the
-    truncated Poisson wheel, then selects that many distinct ant indices
-    uniformly from the whole population. An ant may serve several prey but
-    appears at most once per prey. Counts for every prey are drawn first,
-    then their index selections, in prey order.
+
+def recruit(n_prey, wheel, rng):
+    """Recruit map for the ``n_prey`` active prey, spinning the recruit ``wheel``.
+
+    Each active prey independently draws its recruit count from the wheel
+    (a pmf over 0..N), then selects that many distinct ant indices
+    uniformly from the whole population of N. An ant may serve several
+    prey but appears at most once per prey. Counts for every prey are drawn
+    first, then their index selections, in prey order.
     """
-    n = config.population
-    pmf = truncated_poisson_pmf(avg_recruits(t, config), n)
-    counts = rng.roulette(pmf, size=n_prey).tolist()
+    n = len(wheel) - 1
+    counts = rng.roulette(wheel, size=n_prey).tolist()
     return [
         np.sort(rng.choice_without_replacement(n, k)) if k > 0 else np.empty(0, dtype=int)
         for k in counts
@@ -157,37 +186,45 @@ def scatter_position(prey, ants, eps, space):
     """Gaussian scatter of recruited ants around their prey, row by row.
 
     The prey-to-ant gap scales the standard-normal ``eps``, so scatter
-    shrinks as the population closes in. The result is boundary-corrected
-    and never evaluated against the objective.
+    shrinks as the population closes in; ``eps`` has the shape of
+    ``prey - ants``. The result is boundary-corrected and never evaluated
+    against the objective.
     """
-    return space.apply_bounds(prey + (prey - ants) * eps)
+    scatter = prey - ants
+    scatter *= eps
+    scatter += prey  # prey + gap * eps: IEEE addition commutes
+    return space.apply_bounds(scatter)
 
 
-def attack_target(scatters, counts):
-    """Per-ant mean of scatter rows; ant m owns ``counts[m]`` consecutive rows.
+def attack_target(scatters, member):
+    """Per-ant mean of its member scatter rows in an (N, P, D) layout.
 
-    As in ``np.mean`` over one ant's rows, the rows are added to +0.0 one
-    after another, in prey order, and the sum is divided by their count.
-    Every ant's first row is added to +0.0 as ``row + 0.0``, which is
-    ``0.0 + row`` to the bit (IEEE addition commutes; both turn -0.0 into
-    +0.0). Slot m then adds row m of the ants that own more than m rows.
+    ``member[i, j]`` says whether ant i scatters around prey j; the other
+    rows of ``scatters`` are padding and are multiplied by 0. As in
+    ``np.mean`` over one ant's rows, the rows are added to +0.0 one after
+    another, in prey order, and the sum is divided by their count. A
+    padding row adds +0.0 or -0.0, which changes no bit: x + (+-0.0) = x,
+    and a sum started at +0.0 never holds -0.0. Every ant's first row is
+    added to +0.0 as ``row + 0.0``, which is ``0.0 + row`` to the bit (IEEE
+    addition commutes; both turn -0.0 into +0.0). An ant with no member row
+    gets the target 0.
     """
-    counts = np.asarray(counts)
-    if np.any(counts < 1):
+    if scatters.shape[1] == 0:
         raise ValueError("attack target needs at least one scatter position")
-    first = np.cumsum(counts) - counts
-    target = scatters[first] + 0.0
-    for m in range(1, counts.max()):
-        owners = counts > m
-        target[owners] += scatters[first[owners] + m]
-    return target / counts[:, None]
+    rows = scatters * member[:, :, None]
+    target = rows[:, 0] + 0.0
+    for j in range(1, rows.shape[1]):
+        target += rows[:, j]
+    target /= np.maximum(member.sum(axis=1), 1)[:, None]
+    return target
 
 
 def step_attack(ants, targets, r, attack_coeff, space):
     """Move ants toward their attack targets by a random fraction of the gap.
 
     Ant m's step factor ``r[m]`` in (0, 1] is shared across dimensions; the
-    attack coefficient allows overshoot past the target.
+    attack coefficient allows overshoot past the target. A step factor of
+    0 leaves the row where it is.
     """
     return space.apply_bounds(ants + (attack_coeff * r)[:, None] * (targets - ants))
 
@@ -196,10 +233,11 @@ def step_follow(companions, noise, space):
     """Move an unrecruited ant to the Cauchy-perturbed mean of two companions.
 
     Each companion row gets its own row of standard-Cauchy ``noise``; the
-    heavy tails keep followers exploring locally.
+    heavy tails keep followers exploring locally. The two perturbed rows
+    are added to +0.0, as ``np.mean`` over them does, so two -0.0 give +0.0.
     """
-    moved = np.asarray(companions, dtype=float) + noise
-    return space.apply_bounds(moved.sum(axis=0) / 2.0)  # np.mean's sum from +0.0
+    first, second = companions
+    return space.apply_bounds((0.0 + (first + noise[0]) + (second + noise[1])) / 2.0)
 
 
 def prey_count_raw(t, max_iters):
@@ -283,9 +321,8 @@ def _checked(objective):
             raise ValueError(
                 f"objective returned shape {values.shape} for a block of {len(x)} points"
             )
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            i = int(bad[0])
+        if not np.isfinite(values).all():
+            i = int(np.flatnonzero(~np.isfinite(values))[0])
             raise ValueError(
                 f"objective returned non-finite value {float(values[i])!r} at row {i}: {x[i]!r}"
             )
@@ -334,45 +371,47 @@ def run(objective, space, config, rng, observer=None, seed_positions=None):
     prey, prey_fitness = merge_archive(np.empty((0, d)), np.empty(0), positions, fitness)
     history = [prey_fitness[0]]
     stagnation = 0
+    wheels = recruit_wheels(config)
+    normal, uniform_open = rng.normal, rng.uniform_open
+    choice, cauchy = rng.choice_without_replacement, rng.cauchy
 
     for t in range(1, config.max_iters + 1):
-        recruit_map = recruit(min(prey_count(t, config.max_iters), len(prey)), config, t, rng)
-        member = np.zeros((n, len(recruit_map)), dtype=bool)
+        active = min(prey_count(t, config.max_iters), len(prey))
+        recruit_map = recruit(active, wheels[t], rng)
+        member = np.zeros((n, active), dtype=bool)
         for j, idx in enumerate(recruit_map):
             member[idx, j] = True
-        counts = member.sum(axis=1)
 
         # draw phase: every draw of the sweep, ant by ant; nothing moves yet
         eps, r, follow = [], [], []
-        for i, k in enumerate(counts.tolist()):
+        for i, k in enumerate(member.sum(axis=1).tolist()):
             if k:
-                eps.append(rng.normal(k * d))
-                r.append(rng.uniform_open())
+                eps.append(normal(k * d))
+                r.append(uniform_open())
             else:
                 # two companions other than ant i, skipping over its index
-                pair = [c + (c >= i) for c in rng.choice_without_replacement(n - 1, 2).tolist()]
-                follow.append((i, pair, rng.cauchy((2, d))))
+                a, b = choice(n - 1, 2).tolist()
+                follow.append((i, a + (a >= i), b + (b >= i), cauchy((2, d))))
+                r.append(0.0)
 
-        # recruited block, then the follower chain (see the module docstring)
-        moved = positions.copy()
-        if r:
-            ant_of, prey_of = np.nonzero(member)  # ant-major, prey order within an ant
-            scatters = scatter_position(
-                prey[prey_of], positions[ant_of], np.concatenate(eps).reshape(-1, d), space
-            )
-            recruited = np.flatnonzero(counts)
-            targets = attack_target(scatters, counts[recruited])
-            moved[recruited] = step_attack(
-                positions[recruited], targets, np.array(r), config.attack_coeff, space
-            )
-        for i, pair, noise in follow:
-            companions = [moved[c] if c < i else positions[c] for c in pair]
-            moved[i] = step_follow(companions, noise, space)
+        # one attack pass over the padded (N, P, D) layout, then the
+        # follower chain over its rows (see the module docstring)
+        noise = np.zeros((n, active, d))
+        if eps:
+            noise[member] = np.concatenate(eps).reshape(-1, d)
+        scatters = scatter_position(prey[:active], positions[:, None], noise, space)
+        moved = step_attack(
+            positions, attack_target(scatters, member), np.array(r), config.attack_coeff, space
+        )
+        for i, a, b, cauchy_rows in follow:
+            pair = (moved[a] if a < i else positions[a], moved[b] if b < i else positions[b])
+            moved[i] = step_follow(pair, cauchy_rows, space)
 
         positions = moved
         fitness = evaluate(positions)
         best_before = prey[0]
-        prey, prey_fitness = merge_archive(prey, prey_fitness, positions, fitness)
+        if (fitness < prey_fitness[-1]).any():  # else no row enters the full archive
+            prey, prey_fitness = merge_archive(prey, prey_fitness, positions, fitness)
         stagnation = stagnation + 1 if (prey[0] == best_before).all() else 0
 
         bridge = None
@@ -384,7 +423,10 @@ def run(objective, space, config, rng, observer=None, seed_positions=None):
             positions[worse], fitness[worse] = bridge_mutate(
                 positions[worse], fitness[worse], bridge, np.array(dims), np.array(u), evaluate, space
             )
-            prey, prey_fitness = merge_archive(prey, prey_fitness, positions[worse], fitness[worse])
+            if (fitness[worse] < prey_fitness[-1]).any():
+                prey, prey_fitness = merge_archive(
+                    prey, prey_fitness, positions[worse], fitness[worse]
+                )
             stagnation = 0
 
         history.append(prey_fitness[0])

@@ -74,10 +74,30 @@ MUTANTS = [
      "_WORD = 51",
      "_WORD = 52",
      "with more than 51 rows a position's seven marks can round"),
+    ("bound-bracket-wraps", "coverage.py",
+     "ok = ((first < last)",
+     "ok = ((first != last)",
+     "_bound bisects only a bracket that does not cross 0"),
+    ("bisect-two-branches", "coverage.py",
+     "branch = (diff < 0.0).astype(np.intp) + (diff < -TWO_PI)",
+     "branch = (diff < 0.0).astype(np.intp)",
+     "_bisect_intervals numbers the branches by the adds that fire: 0, 1 or 2"),
     ("attack-target-copy", "optimizer.py",
-     "target = scatters[first] + 0.0",
-     "target = scatters[first].copy()",
+     "target = rows[:, 0] + 0.0",
+     "target = rows[:, 0].copy()",
      "attack_target adds the first row to +0.0, as np.mean does"),
+    ("follow-sum-start", "optimizer.py",
+     "(0.0 + (first + noise[0]) + (second + noise[1]))",
+     "((first + noise[0]) + (second + noise[1]))",
+     "step_follow adds the two rows to +0.0, as np.mean does"),
+    ("archive-skip-best", "optimizer.py",
+     "if (fitness < prey_fitness[-1]).any():",
+     "if (fitness < prey_fitness[0]).any():",
+     "a merge is skipped only when no row lies below the archive's fourth entry"),
+    ("archive-skip-best-bridge", "optimizer.py",
+     "if (fitness[worse] < prey_fitness[-1]).any():",
+     "if (fitness[worse] < prey_fitness[0]).any():",
+     "a merge is skipped only when no row lies below the archive's fourth entry"),
 ]
 
 
@@ -115,7 +135,7 @@ def main(names):
         for mutant in chosen:
             outcome, elapsed = run(mutant, scratch)
             failed |= outcome != "killed"
-            print(f"{mutant[0]:<20} {outcome:<15} {elapsed:6.1f} s  {mutant[4]}", flush=True)
+            print(f"{mutant[0]:<24} {outcome:<15} {elapsed:6.1f} s  {mutant[4]}", flush=True)
     sys.exit(1 if failed else 0)
 
 

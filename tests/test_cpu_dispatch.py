@@ -46,15 +46,14 @@ still_on = [f for f in sys.argv[1:] if umath.__cpu_features__.get(f)]
 print(" ".join(still_on))
 """
 
-# (population, iterations): the cover and bench workloads and examples/bench.conf
+# (population, iterations): the cover and bench workloads and examples/bench.conf;
+# each run's wheel table, as ``optimizer.run`` builds it
 WHEEL_DIGEST = """
 import hashlib
-from armyant.optimizer import OptimizerConfig, avg_recruits, truncated_poisson_pmf
+from armyant.optimizer import OptimizerConfig, recruit_wheels
 h = hashlib.sha256()
 for population, iterations in ((50, 100), (30, 500), (30, 1000)):
-    cfg = OptimizerConfig(population=population, max_iters=iterations)
-    for t in range(iterations + 1):
-        h.update(truncated_poisson_pmf(avg_recruits(t, cfg), population).tobytes())
+    h.update(recruit_wheels(OptimizerConfig(population=population, max_iters=iterations)).tobytes())
 print(h.hexdigest())
 """
 

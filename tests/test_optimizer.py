@@ -17,6 +17,7 @@ from armyant.optimizer import (
     prey_count,
     prey_count_raw,
     recruit,
+    recruit_wheels,
     round_half_away,
     rowwise,
     run,
@@ -125,13 +126,46 @@ def test_truncated_poisson_matches_factorial_oracle(lams, n_max):
         assert rel.max() < 1e-14, lam
 
 
+def ratio_wheel(lam, n_max):
+    """The wheel as one run of ratios each side of the mode, concatenated."""
+    m = min(math.floor(lam), n_max)
+    below = np.cumprod(np.arange(m, 0, -1) / lam)[::-1]
+    above = np.cumprod(lam / np.arange(m + 1, n_max + 1))
+    p = np.concatenate((below, [1.0], above))
+    return p / p.sum()
+
+
+def test_recruit_wheel_table_rows_have_the_bytes_of_one_wheel():
+    # the padding with 1.0 and the row-wise sum must not move a bit: each row
+    # equals the wheel built for its t alone, and the unpadded recurrence;
+    # the cover and bench workloads, C9's 30 x 1000 and every golden config
+    configs = [OptimizerConfig(population=n, max_iters=T)
+               for n, T in ((50, 100), (30, 500), (30, 1000))]
+    configs += [OptimizerConfig(**keywords) for _, _, keywords, *_ in GOLDEN_RUNS.values()]
+    for cfg in configs:
+        table = recruit_wheels(cfg)
+        assert table.shape == (cfg.max_iters + 1, cfg.population + 1)
+        for t in range(cfg.max_iters + 1):
+            lam = avg_recruits(t, cfg)
+            alone = truncated_poisson_pmf(lam, cfg.population)
+            oracle = ratio_wheel(lam, cfg.population)
+            assert table[t].tobytes() == alone.tobytes() == oracle.tobytes()
+
+
+def test_truncated_poisson_rejects_a_bad_lam():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        for lam in (bad, [2.0, bad, 3.0]):
+            with pytest.raises(ValueError, match="lam must be positive and finite"):
+                truncated_poisson_pmf(lam, 10)
+
+
 def test_recruit_count_distribution():
     # at t = 0 the mean recruit count is recruit_init, so each prey's count
     # follows the Poisson(1) wheel truncated to the population of 10
     lam, n_max, n_draws = 1.0, 10, 100000
     pmf = truncated_poisson_pmf(lam, n_max)
     cfg = OptimizerConfig(population=n_max, max_iters=10, recruit_init=lam)
-    recruit_map = recruit(n_draws, cfg, 0, RandomSource(17))
+    recruit_map = recruit(n_draws, recruit_wheels(cfg)[0], RandomSource(17))
     counts = np.bincount([len(idx) for idx in recruit_map], minlength=n_max + 1)
     mode = int(np.argmax(counts))
     assert mode in (0, 1)
@@ -145,7 +179,7 @@ def test_recruit_shapes_and_bounds():
     cfg = OptimizerConfig(population=12, max_iters=10)
     active = prey_count(1, cfg.max_iters)  # four prey, as after initialization
     for seed in range(5):
-        recruit_map = recruit(active, cfg, 5, RandomSource(seed))
+        recruit_map = recruit(active, recruit_wheels(cfg)[5], RandomSource(seed))
         assert len(recruit_map) == active
         for idx in recruit_map:
             assert len(set(idx.tolist())) == len(idx)
@@ -178,28 +212,48 @@ def test_scatter_is_boundary_corrected():
     assert out[0] == 1.0
 
 
+def padded(rows, prey_of, n_prey, pad=-3.0):
+    """The (N, P, D) layout of ``attack_target``: ant m's rows at prey ``prey_of[m]``.
+
+    Every other slot holds ``pad``, which the membership must zero out.
+    """
+    scatters = np.full((len(rows), n_prey, 2), pad)
+    member = np.zeros((len(rows), n_prey), dtype=bool)
+    for m, (ant_rows, prey) in enumerate(zip(rows, prey_of)):
+        scatters[m, prey] = np.reshape(ant_rows, (-1, 2))
+        member[m, prey] = True
+    return scatters, member
+
+
 def test_attack_target_cases():
     p = np.array([0.3, 0.4])
-    assert np.array_equal(attack_target(np.array([p]), [1]), [p])
-    assert np.array_equal(attack_target(np.array([np.zeros(2), np.full(2, 2.0)]), [2]), [np.ones(2)])
-    assert np.array_equal(attack_target(np.array([p, p, p, p]), [4]), [p])
+    assert np.array_equal(attack_target(*padded([[p]], [[0]], 1)), [p])
+    assert np.array_equal(attack_target(*padded([[np.zeros(2), np.full(2, 2.0)]], [[1, 3]], 4)),
+                          [np.ones(2)])
+    assert np.array_equal(attack_target(*padded([[p, p, p, p]], [[0, 1, 2, 3]], 4)), [p])
     with pytest.raises(ValueError):
-        attack_target(np.empty((0, 2)), [0])
+        attack_target(np.empty((1, 0, 2)), np.empty((1, 0), dtype=bool))
 
 
 def test_attack_target_sums_rows_in_order():
-    # three ants owning 1, 3 and 2 rows; each target must equal the mean the
-    # per-ant form took, np.mean over the ant's rows (a sequential sum), to
-    # the bit, including the sign of a zero
-    rows = np.array([
-        [-0.0, 1.0], [1e16, -0.0], [1.0, -0.0], [1.0, -0.0], [0.1, 0.2], [0.7, 0.3],
-    ])
-    counts = [1, 3, 2]
-    targets = attack_target(rows, counts)
-    starts = np.cumsum(counts) - counts
-    for m, (s, k) in enumerate(zip(starts, counts)):
-        expected = np.mean(list(rows[s : s + k]), axis=0)
-        assert targets[m].tobytes() == expected.tobytes()
+    # ants owning 1, 3, 2 and 1 rows among four prey, and a follower with
+    # none; each target must equal the mean the per-ant form took, np.mean
+    # over the ant's rows (a sequential sum), to the bit, including the sign
+    # of a zero, whatever the padding slots hold
+    rows = [
+        [[-0.0, 1.0]],
+        [[1e16, -0.0], [1.0, -0.0], [1.0, -0.0]],
+        [[0.1, 0.2], [0.7, 0.3]],
+        [[-0.0, -0.0]],
+        [],
+    ]
+    for prey_of in ([[0], [0, 1, 3], [1, 2], [2], []], [[2], [0, 2, 3], [0, 3], [0], []]):
+        for pad in (-3.0, 3.0, -0.0):
+            targets = attack_target(*padded(rows, prey_of, 4, pad))
+            for m, ant_rows in enumerate(rows[:-1]):
+                expected = np.mean(np.array(ant_rows), axis=0)
+                assert targets[m].tobytes() == expected.tobytes()
+            assert targets[-1].tobytes() == np.zeros(2).tobytes()  # the follower's target
 
 
 def test_step_attack_hand_case():
@@ -215,6 +269,8 @@ def test_step_attack_zero_displacement_and_limit():
     assert np.array_equal(out, ant)
     tiny = step_attack(np.zeros((1, 2)), np.ones((1, 2)), np.array([1e-12]), cfg.attack_coeff, BOX)
     assert np.all(np.abs(tiny) < 1e-10)
+    # a follower takes the step with factor 0 and stays where it is
+    assert np.array_equal(step_attack(ant, np.zeros((1, 2)), np.array([0.0]), 2.0, BOX), ant)
 
 
 def test_step_follow_zero_noise_is_midpoint():
@@ -224,6 +280,18 @@ def test_step_follow_zero_noise_is_midpoint():
     same = np.array([[1.5, 1.5], [1.5, 1.5]])
     out = step_follow(same, np.zeros((2, 2)), BOX)
     assert np.array_equal(out, np.array([1.5, 1.5]))
+
+
+def test_step_follow_sums_from_positive_zero():
+    # np.mean over the two perturbed rows sums them from +0.0, so -0.0
+    # companions and noise give +0.0, not -0.0
+    companions = np.array([[-0.0, -0.0, 1.0], [-0.0, 0.0, 2.0]])
+    noise = np.array([[-0.0, -0.0, 0.5], [-0.0, -0.0, -0.25]])
+    space = SearchSpace.cube(3, -10.0, 10.0)
+    out = step_follow(companions, noise, space)
+    expected = np.mean(companions + noise, axis=0)
+    assert out.tobytes() == expected.tobytes()
+    assert out.tobytes() == np.array([0.0, 0.0, 1.625]).tobytes()
 
 
 # --- prey schedule -------------------------------------------------------------
@@ -632,6 +700,40 @@ def test_archive_best_equals_global_min_of_evaluations():
     cfg = OptimizerConfig(population=10, max_iters=30)
     result = run(rowwise(tracking), SearchSpace.cube(3, -2.0, 2.0), cfg, RandomSource(4))
     assert result.best_fitness == min(values)
+
+
+# name -> (objective, space, config keywords, seed, seed positions); in the
+# last run, bridge candidates enter the archive below its fourth entry but
+# not below its first
+FOLD_RUNS = {name: GOLDEN_RUNS[name][:5] for name in ("ties", "bridge_every_iteration")}
+FOLD_RUNS["bridge_entries"] = (sphere, SearchSpace.cube(2, -5.0, 5.0),
+                               dict(population=10, max_iters=30, stagnation_threshold=1), 2, None)
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_RUNS))
+def test_archive_is_the_fold_of_every_evaluated_block(name):
+    # a run skips a merge that no row can enter, and merges the bridge's kept
+    # rows rather than its candidates; after every iteration the archive must
+    # still be merge_archive folded over every block the objective received:
+    # the initial population, each iteration's and each bridge's candidates
+    objective, space, keywords, seed, seeds = FOLD_RUNS[name]
+    fold = (np.empty((0, space.dim)), np.empty(0))
+    bridges = []
+
+    def block(x):
+        nonlocal fold
+        values = rowwise(objective)(x)
+        fold = merge_archive(*fold, x.copy(), values)
+        return values
+
+    def observer(state):
+        assert state.prey_positions.tobytes() == fold[0].tobytes(), state.t
+        assert state.prey_fitness.tobytes() == fold[1].tobytes(), state.t
+        bridges.append(state.bridge_position is not None)
+
+    cfg = OptimizerConfig(**keywords)
+    run(block, space, cfg, RandomSource(seed), observer=observer, seed_positions=seeds)
+    assert len(bridges) == cfg.max_iters and any(bridges)
 
 
 @settings(max_examples=10)
