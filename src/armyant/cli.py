@@ -65,7 +65,7 @@ def run_cover(spec):
             with contextlib.suppress(OSError):
                 os.remove(path)
 
-    results = []
+    results, failed_layouts = [], set()
     for seed, (sensors, runs) in deployments.items():
         initial_path = os.path.join(out, f"layout_initial_{seed}.svg")
         try:
@@ -73,7 +73,8 @@ def run_cover(spec):
         except (ValueError, OSError) as exc:
             # failed as a deployment: none of the seed's runs is written or
             # reported, and no part of its initial layout is left
-            failures = [f for f in failures if f[0] != seed] + [(seed, "deploy", str(exc))]
+            failed_layouts.add(seed)
+            failures.append((seed, "deploy", str(exc)))
             remove([initial_path])
             continue
         for algorithm, run in runs.items():
@@ -118,9 +119,12 @@ def run_cover(spec):
     write_atomic(os.path.join(out, "results.json"), write_results)
     write_atomic(os.path.join(out, "summary.csv"), write_summary, newline="")
 
+    # a seed whose initial layout failed reports that failure alone
+    failures = [f for f in failures if f[0] not in failed_layouts or f[1] == "deploy"]
     if failures:
-        stages = ["deploy", *spec.algorithms]
-        failures.sort(key=lambda f: (spec.seeds.index(f[0]), stages.index(f[1])))
+        seed_at = {seed: i for i, seed in enumerate(spec.seeds)}
+        stage_at = {name: i for i, name in enumerate(["deploy", *spec.algorithms])}
+        failures.sort(key=lambda f: (seed_at[f[0]], stage_at[f[1]]))
         for seed, stage, message in failures:
             print(f"FAILED seed {seed} ({stage}): {message}", file=sys.stderr)
         return 1

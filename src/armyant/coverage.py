@@ -11,46 +11,38 @@ within range and the bearing from sensor to point deviates from the
 sensing direction by at most half the view angle. This is equivalent to
 the dot-product form but keeps exact boundary equalities honest.
 
-The reference path (``is_sensed``, ``coverage_naive``) reduces the
-difference ``bearing - theta`` with ``np.mod``. The pruned evaluator's
-test reduces it with two conditional ``+2*pi`` adds instead, which give
-the same doubles, so pruning never changes a result. Write P for
-``TWO_PI`` = fl(2*pi); fl(pi) = P/2 exactly. Precondition: the bearing
-lies in [-P/2, P/2] (the range of ``arctan2``) and theta in [0, P) (the
-evaluator canonicalizes first), so x = fl(bearing - theta) lies in
-(-2P, P/2]. ``np.mod(x, P)`` takes the exact remainder r = fmod(x, P)
-and returns fl(r + P) when r < 0, +0.0 when r is zero, and r otherwise.
-
-- x >= 0: x < P, so np.mod returns x, and neither add fires.
-- -P <= x < 0: r = x, or r = -0.0 at x = -P. Both paths return
-  fl(x + P), which is not negative, so the second add does not fire.
-- -2P < x < -P: r = x + P. The first add computes x + P exactly by
-  the Sterbenz lemma, since P < -x < 2P (Goldberg 1991, "What every
-  computer scientist should know about floating-point arithmetic").
-  The sum is negative, so the second add returns fl((x + P) + P),
-  which is np.mod's result.
-
-The one difference is the sign of a zero: x = -0.0 (bearing -0.0, theta
-+0.0) stays -0.0 where np.mod returns +0.0. The ``<=``/``>=`` tests cannot
-tell the two apart, and the evaluator's bearings are never -0.0 (a
-centroid's y offset from a sensor is never -0.0).
+``_in_sector`` is the one definition of "sensed": the reference path
+(``is_sensed``, ``coverage_naive``) evaluates it per grid, and the pruned
+evaluator reads its intervals off it at build. Write P for ``TWO_PI`` =
+fl(2*pi); fl(pi) = P/2 exactly. With d = ``np.mod(bearing - theta, P)``,
+h the half view angle and U = fl(P - h), a point is sensed when d <= h
+or d >= U; a grid at the sensor's position always is.
 
 The evaluator does not reduce when it evaluates. At build it reads off,
-per (sensor, grid) entry, the angles at which the reduced test holds
-(``_sensed``: d <= h or d >= U, where d is the reduced difference, h the
-half view angle and U = fl(P - h); a grid at the sensor's position is
-always sensed). These doubles form one circular interval [lo, hi] of
-[0, P):
+per (sensor, grid) entry, the angles theta in [0, P) at which
+``_in_sector`` holds. These doubles form one circular interval [lo, hi]
+of [0, P). The bearing b lies in [-P/2, P/2] (the range of ``arctan2``),
+so x = fl(b - theta) lies in (-2P, P/2]. ``np.mod(x, P)`` takes the exact
+remainder r = fmod(x, P) and returns fl(r + P) when r < 0, +0.0 when r is
+zero, and r otherwise. Number its branches by the multiples of P it adds:
+
+- branch 0, x >= 0: x < P, so r = x and d = x;
+- branch 1, -P <= x < 0: r = x, or r = -0.0 at x = -P, and both give
+  d = fl(x + P);
+- branch 2, -2P < x < -P: r = x + P, exact as every fmod remainder is,
+  and d = fl(r + P).
+
+Then:
 
 - h = P/2 (a 2*pi view) gives U = h, so every d passes; a zero-distance
   entry passes too. Both are the full set [0, prev(P)], prev(P) being
   the largest double below P. Otherwise h < P/2 and U > P/2, since
   P - h exceeds P/2 by at least one ulp of P/2.
-- Number the adds that fire. As theta grows, x = fl(b - theta) never
-  increases (rounding is monotone), so this branch number never
-  decreases, and within a branch d never increases (each add is
-  monotone). So within a branch the test holds on a prefix (d >= U),
-  fails in the middle and holds on a suffix (d <= h).
+- As theta grows, x = fl(b - theta) never increases (rounding is
+  monotone), so the branch number never decreases, and within a branch d
+  never increases (r follows x exactly, and fl(r + P) is monotone). So
+  within a branch the test holds on a prefix (d >= U), fails in the
+  middle and holds on a suffix (d <= h).
 - theta <= prev(P) = P - ulp(P) and x rounds by at most ulp(P), so
   x >= b - P throughout. For b >= 0 that leaves branches 0 and 1; for
   b < 0, x <= b < 0 leaves branches 1 and 2.
@@ -62,20 +54,24 @@ always sensed). These doubles form one circular interval [lo, hi] of
   - b >= 0: branch 0 has d = x <= b <= P/2 < U, so its prefix is empty.
     If b > h, so is branch 1's suffix: there x + P >= b, so d >= b > h.
     If b <= h, branch 0's middle is empty, since d <= b <= h.
-  - b < 0: branch 2 has y = x + P >= b exactly (Sterbenz), so
-    d = fl(y + P) >= fl(b + P) >= P/2 > h and its suffix is empty. If
-    branch 1's prefix is not empty, then fl(b + P) >= U (its d at
-    theta = 0), every branch-2 d >= U, and branch 2's middle is empty.
+  - b < 0: branch 2 has r = x + P >= b, so d = fl(r + P) >= fl(b + P)
+    >= P/2 > h and its suffix is empty. If branch 1's prefix is not
+    empty, then fl(b + P) >= U (its d at theta = 0), every branch-2
+    d >= U, and branch 2's middle is empty.
 
 ``_sensing_intervals`` finds lo (sensed, the double before it not) and hi
-(sensed, the double after it not) by evaluating ``_sensed`` itself. On
+(sensed, the double after it not) by evaluating ``_in_sector`` itself. On
 random entries the bounds lie within two ulps of P of the estimates
 b - h and b + h, so each is bisected over the bit patterns of a bracket
 reaching four ulps of P either side (non-negative doubles order like
-their bit patterns read as integers). Near theta = 0 an ulp of P spans
-many doubles; an entry whose bracket crosses 0 or misses its bound is
-bisected over all of [0, P) instead, branch by branch
-(``_bisect_intervals``).
+their bit patterns read as integers). A bracket spans from a few
+patterns to many thousands, and ``np.mod`` makes each test costly, so an
+entry stops stepping once its bracket has settled. Near theta = 0 an ulp
+of P spans many doubles; an entry whose bracket crosses 0 or misses its
+bound is bisected over all of [0, P) instead, branch by branch
+(``_bisect_intervals``). There ``_in_sector`` decides sensed or not, and
+d > P/2 tells a sensed prefix (d >= U > P/2) from a sensed suffix
+(d <= h < P/2).
 
 An evaluation of all sensors does not test the entries one by one. Read
 the bounds as their bit patterns L and H in [0, S), S being the pattern
@@ -284,28 +280,16 @@ class CoverageResult:
 
 
 def _in_sector(dist, bearing, theta, half_angle):
-    """Reference sensing test of ``is_sensed`` and ``coverage_naive``.
+    """The sensing test: whether a point at ``dist`` and ``bearing`` is sensed at ``theta``.
 
-    Scalar or vector. Reduces with ``np.mod``, so it stays an independent
-    oracle for ``CoverageEvaluator``, whose intervals are read off a test
-    that reduces with two conditional ``+2*pi`` adds. For bearings in
-    [-pi, pi] and theta in [0, 2*pi) the two give the same doubles, the
-    first add being exact by the Sterbenz lemma (Goldberg 1991); the
-    module docstring has the proof.
+    Scalar or vector. The one definition of "sensed": ``is_sensed`` and
+    ``coverage_naive`` evaluate it, and ``CoverageEvaluator``'s intervals
+    are read off it at build (module docstring). The difference
+    ``bearing - theta`` is reduced with ``np.mod``; a point at the
+    sensor's position is always sensed.
     """
     diff = np.mod(bearing - theta, TWO_PI)
     return (dist == 0.0) | (diff <= half_angle) | (diff >= TWO_PI - half_angle)
-
-
-def _reduce_angle(diff):
-    """In place, ``diff = np.mod(diff, TWO_PI)`` for ``diff = bearing - theta``.
-
-    Two conditional ``+2*pi`` adds, exact under the precondition of the
-    module docstring.
-    """
-    for _ in range(2):
-        np.add(diff, TWO_PI, out=diff, where=diff < 0.0)
-    return diff
 
 
 # theta in [0, TWO_PI) <-> its bit pattern k in [0, _SPAN): the order of the
@@ -321,25 +305,14 @@ _CHUNK = 8192  # entries per interval build step
 _DOUBLE, _UINT64 = struct.Struct("<d"), struct.Struct("<Q")
 
 
-def _sensed(bearing, half, upper, theta):
-    """The exact sensing test of a nonzero-distance entry at angle ``theta``.
-
-    ``upper`` is ``TWO_PI - half``; a zero-distance entry is always sensed.
-    This is the only definition of "sensed" the evaluator uses: its
-    intervals are read off this test.
-    """
-    diff = bearing - theta
-    _reduce_angle(diff)
-    return (diff <= half) | (diff >= upper)
-
-
 def _sensing_intervals(bearing, half, zero):
     """Per entry, the circular interval ``[lo, hi]`` of sensed angles in [0, 2*pi).
 
     ``lo > hi`` means the interval wraps: theta >= lo or theta <= hi. Full
-    sets are ``[0, nextafter(2*pi, 0)]``. Each bound is bisected from a
-    bracket around its estimate ``bearing -/+ half``; entries whose
-    bracket does not straddle the bound are bisected over all of [0, 2*pi).
+    sets are ``[0, nextafter(2*pi, 0)]``. The intervals are exact for
+    ``_in_sector``: each bound is bisected with it from a bracket around
+    its estimate ``bearing -/+ half``; entries whose bracket does not
+    straddle the bound are bisected over all of [0, 2*pi).
     """
     bearing = np.asarray(bearing, dtype=float)
     half = np.broadcast_to(np.asarray(half, dtype=float), bearing.shape)
@@ -354,28 +327,29 @@ def _sensing_intervals(bearing, half, zero):
 
 def _chunk_intervals(bearing, half, zero):
     """``_sensing_intervals`` of one chunk of entries."""
-    upper = TWO_PI - half
-    lo, lo_ok = _bound(bearing, half, upper, bearing - half, rising=True)
-    hi, hi_ok = _bound(bearing, half, upper, bearing + half, rising=False)
+    lo, lo_ok = _bound(bearing, half, bearing - half, rising=True)
+    hi, hi_ok = _bound(bearing, half, bearing + half, rising=False)
     lo, hi = lo.view(np.float64), hi.view(np.float64)
-    full = zero | (half >= upper)
+    full = zero | (half >= TWO_PI - half)
     lo[full] = 0.0
     hi[full] = _LAST
     rest = np.flatnonzero(~(full | (lo_ok & hi_ok)))
     if rest.size:
-        lo[rest], hi[rest] = _bisect_intervals(bearing[rest], half[rest], upper[rest])
+        lo[rest], hi[rest] = _bisect_intervals(bearing[rest], half[rest])
     return lo, hi
 
 
-def _bound(bearing, half, upper, estimate, rising):
+def _bound(bearing, half, estimate, rising):
     """Bit patterns of the bound near ``estimate``: ``lo`` if ``rising``, else ``hi``.
 
-    ``lo`` is sensed and the double before it is not; ``hi`` is sensed and
-    the double after it is not. The sensed set is one circular interval,
-    so when the bracket ``estimate -/+ _REACH`` does not cross 0 and its
-    ends differ as the bound asks (unsensed, then sensed when rising),
-    the bound lies inside it, found by bisection. Returns the patterns
-    and whether each bracket qualified.
+    ``lo`` is sensed by ``_in_sector`` and the double before it is not;
+    ``hi`` is sensed and the double after it is not. Every entry is
+    tested at a nonzero distance (1.0): a zero-distance entry is a full
+    set, which the caller sets apart. The sensed set is one circular
+    interval, so when the bracket ``estimate -/+ _REACH`` does not cross 0
+    and its ends differ as the bound asks (unsensed, then sensed when
+    rising), the bound lies inside it, found by bisection. Returns the
+    patterns and whether each bracket qualified.
     """
     # conditional turns move the estimate and the bracket ends into
     # [0, 2*pi); the masks select by arithmetic because np.where is several
@@ -387,42 +361,57 @@ def _bound(bearing, half, upper, estimate, rising):
     last = estimate + _REACH
     last = (last - TWO_PI * (last >= TWO_PI)).view(np.int64)
     ok = ((first < last)
-          & (_sensed(bearing, half, upper, first.view(np.float64)) != rising)
-          & (_sensed(bearing, half, upper, last.view(np.float64)) == rising))
-    # the transition lies after ``near`` and at most ``width`` patterns on; all
-    # entries bisect in step, and a settled or unqualified one has width 1 and
-    # jump 0, so it does not move
-    near, width = first, np.where(ok, last - first, 1)
-    while (width > 1).any():
-        jump = width >> 1
-        beyond = _sensed(bearing, half, upper, (near + jump).view(np.float64))
-        if not rising:
-            beyond = ~beyond
-        near += jump * ~beyond
-        width = jump + (width & 1) * ~beyond
+          & (_in_sector(1.0, bearing, first.view(np.float64), half) != rising)
+          & (_in_sector(1.0, bearing, last.view(np.float64), half) == rising))
+    # the transition lies after ``near`` and at most ``width`` patterns on.
+    # A step leaves the floor or the ceiling of half the width, so a bracket
+    # settles (width 1) within ceil(log2(width)) steps, after which it no
+    # longer moves. Widths differ by orders of magnitude, so the qualified
+    # entries are ordered by that step count, and step j takes only the
+    # suffix of those that need j steps or more
+    near, width = first, last - first
+    live = np.flatnonzero(ok & (width > 1))
+    steps = np.frexp(width[live] - 1)[1].astype(np.uint8)
+    order = np.argsort(steps, kind="stable")
+    live, steps = live[order], steps[order]
+    at, width, bearing, half = near[live], width[live], bearing[live], half[live]
+    for start in np.searchsorted(steps, np.arange(1, steps.max(initial=0) + 1)).tolist():
+        a, w = at[start:], width[start:]
+        jump = w >> 1
+        # the bound lies past ``a + jump`` when the test there is as at ``a``
+        probe = (a + jump).view(np.float64)
+        stay = _in_sector(1.0, bearing[start:], probe, half[start:]) != rising
+        a += jump * stay
+        w[:] = jump + (w & 1) * stay
+    near[live] = at
     return near + rising, ok
 
 
-def _bisect_intervals(bearing, half, upper):
-    """Exact intervals of entries that are not full sets, by bisection.
+def _bisect_intervals(bearing, half):
+    """Exact intervals of nonzero-distance entries that are not full sets, by bisection.
 
-    Number the branches of the reduction by the adds that fire (0, 1, 2);
-    the branch never decreases as theta grows and, within a branch, the
-    reduced difference never increases. So for each branch j, "branch < j,
-    or branch j and diff >= upper" holds on a prefix of [0, _SPAN), and so
-    does "... diff > half"; branch j's unsensed run ``[start, end)`` lies
+    Number the branches of ``np.mod``'s reduction by the multiples of
+    2*pi it adds (0, 1, 2); the branch never decreases as theta grows and,
+    within a branch, the reduced difference d never increases (module
+    docstring). Within a branch, ``_in_sector`` holds on a prefix, where
+    d >= U > pi, fails in the middle and holds on a suffix, where
+    d <= h < pi. So for each branch j, "branch < j, or branch j, sensed
+    and d > pi" holds on a prefix of [0, _SPAN), and so does "... not
+    sensed or d > pi"; branch j's unsensed run ``[start, end)`` lies
     between the two prefix lengths. The sensed set is one circular
-    interval (module docstring): ``lo`` is the run end that no run starts
-    at and ``hi`` precedes the run start that no run ends at, circularly.
+    interval: ``lo`` is the run end that no run starts at and ``hi``
+    precedes the run start that no run ends at, circularly.
     """
     rows = np.arange(6)[:, None]
     branch_of_row, upper_row = rows // 2, rows % 2 == 0
 
     def prefix(k):
-        diff = bearing - k.view(np.float64)
+        theta = k.view(np.float64)
+        diff = bearing - theta
         branch = (diff < 0.0).astype(np.intp) + (diff < -TWO_PI)
-        _reduce_angle(diff)
-        beyond = np.where(upper_row, diff >= upper, diff > half)
+        sensed = _in_sector(1.0, bearing, theta, half)
+        high = np.mod(diff, TWO_PI) > math.pi
+        beyond = np.where(upper_row, sensed & high, ~sensed | high)
         return (branch < branch_of_row) | ((branch == branch_of_row) & beyond)
 
     first = np.zeros((6, bearing.size), dtype=np.int64)

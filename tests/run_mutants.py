@@ -34,18 +34,17 @@ TESTS = [str(ROOT / "tests" / name)
 # query of a later bucket and is found by the halvings from its own, so no
 # count moves.
 MUTANTS = [
-    ("reduce-one-add", "coverage.py",
-     "    for _ in range(2):\n        np.add(diff, TWO_PI, out=diff, where=diff < 0.0)",
-     "    for _ in range(1):\n        np.add(diff, TWO_PI, out=diff, where=diff < 0.0)",
-     "_reduce_angle needs both conditional adds to equal np.mod on (-2P, P/2]"),
+    # the evaluator and coverage_naive both sense through _in_sector, so the
+    # two move together under these; is_sensed's examples at the sector's
+    # edges, (30, 30) and (30, -30), see them
     ("sensed-half-strict", "coverage.py",
-     "return (diff <= half) | (diff >= upper)",
-     "return (diff < half) | (diff >= upper)",
-     "_sensed tests d <= h, as np.mod's reference test does"),
+     "| (diff <= half_angle) |",
+     "| (diff < half_angle) |",
+     "_in_sector senses d <= h, the lower edge of the sector"),
     ("sensed-upper-strict", "coverage.py",
-     "return (diff <= half) | (diff >= upper)",
-     "return (diff <= half) | (diff > upper)",
-     "_sensed tests d >= U, as np.mod's reference test does"),
+     "| (diff >= TWO_PI - half_angle)",
+     "| (diff > TWO_PI - half_angle)",
+     "_in_sector senses d >= U, the upper edge of the sector"),
     ("canonical-minus-zero", "coverage.py",
      "return np.where(angle >= TWO_PI, 0.0, angle + 0.0)",
      "return np.where(angle >= TWO_PI, 0.0, angle)",
@@ -81,7 +80,7 @@ MUTANTS = [
     ("bisect-two-branches", "coverage.py",
      "branch = (diff < 0.0).astype(np.intp) + (diff < -TWO_PI)",
      "branch = (diff < 0.0).astype(np.intp)",
-     "_bisect_intervals numbers the branches by the adds that fire: 0, 1 or 2"),
+     "_bisect_intervals numbers np.mod's branches by the multiples of 2*pi added: 0, 1 or 2"),
     ("attack-target-copy", "optimizer.py",
      "target = rows[:, 0] + 0.0",
      "target = rows[:, 0].copy()",

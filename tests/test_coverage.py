@@ -35,10 +35,8 @@ from armyant.coverage import (
     _bound,
     _candidate_entries,
     _in_sector,
-    _reduce_angle,
     _RunLookup,
     _run_layout,
-    _sensed,
     _sensing_intervals,
 )
 from armyant.enhance import _candidate_geometry
@@ -125,6 +123,7 @@ def test_is_sensed_examples():
     assert is_sensed(SENSOR, (30.0, 0.0))            # on-axis interior
     assert not is_sensed(SENSOR, (0.0, 30.0))        # angular offset pi/2 > alpha/2
     assert is_sensed(SENSOR, (30.0, 30.0))           # offset exactly alpha/2, inclusive
+    assert is_sensed(SENSOR, (30.0, -30.0))          # offset exactly -alpha/2, inclusive
     assert not is_sensed(SENSOR, (61.0, 0.0))        # beyond the radius
 
 
@@ -492,24 +491,22 @@ def test_evaluator_matches_naive_coverage(seed):
     assert np.array_equal(ev.covered_mask(angles), coverage_naive(sensors, field).covered)
 
 
-# --- exact two-add reduction (module docstring) ----------------------------------------
+# --- np.mod's branches at the build (module docstring) ---------------------------------
 
-def reduce_bits(bearing, theta):
-    """Bits of the evaluator's reduction and of np.mod for bearing - theta."""
-    diff = np.asarray(bearing, dtype=float) - np.asarray(theta, dtype=float)
-    ref = np.mod(diff, TWO_PI)
-    got = _reduce_angle(diff.copy())
-    # the one documented difference: a zero keeps its sign; + 0.0 folds -0.0 into +0.0
-    return (got + 0.0).view(np.uint64), ref.view(np.uint64)
+# half view angles from the narrowest to the full view
+BRANCH_HALVES = np.array([1e-300, 1e-9, PI / 4, np.nextafter(PI, 0.0), PI])
 
 
-@settings(max_examples=200)
-@given(st.lists(st.tuples(st.floats(-PI, PI), st.floats(0.0, TWO_PI, exclude_max=True)),
-                min_size=1, max_size=50))
-def test_reduction_equals_np_mod_bitwise(pairs):
-    bearing, theta = np.array(pairs).T
-    got, ref = reduce_bits(bearing, theta)
-    assert np.array_equal(got, ref)
+def assert_build_at(bearing, theta):
+    """The build's intervals of one bearing, at every half angle, hold theta as
+    ``_in_sector`` does, from the bracket and from the fallback bisection alike."""
+    bearing = np.full(BRANCH_HALVES.size, bearing)
+    theta = np.full(BRANCH_HALVES.size, theta)
+    lo, hi = _sensing_intervals(bearing, BRANCH_HALVES, False)
+    assert_intervals_exact(bearing, BRANCH_HALVES, lo, hi, extra=[theta])
+    part = BRANCH_HALVES < PI  # the fallback takes no full set
+    blo, bhi = _bisect_intervals(bearing[part], BRANCH_HALVES[part])
+    assert np.array_equal(lo[part], blo) and np.array_equal(hi[part], bhi)
 
 
 ULP_PI = np.spacing(PI)
@@ -518,8 +515,8 @@ ULP_PI = np.spacing(PI)
 @pytest.mark.parametrize("bearing", [PI, -PI, 0.0, -0.0, 1.0, -2.5])
 @pytest.mark.parametrize("theta", [0.0, np.nextafter(TWO_PI, 0.0), PI, 1e-300])
 def test_reduction_boundary_angles(bearing, theta):
-    got, ref = reduce_bits([bearing], [theta])
-    assert np.array_equal(got, ref)
+    # bearing - theta at np.mod's branch edges 0 and -pi, at -0.0 and next to -2*pi
+    assert_build_at(bearing, theta)
 
 
 @pytest.mark.parametrize("theta,target", [
@@ -528,16 +525,9 @@ def test_reduction_boundary_angles(bearing, theta):
     (PI - 2 * ULP_PI, np.nextafter(-TWO_PI, 0.0)),
 ])
 def test_reduction_around_minus_two_pi(theta, target):
+    # the edge of branches 1 and 2, where np.mod adds 2*pi once or twice
     assert -PI - theta == target
-    got, ref = reduce_bits([-PI], [theta])
-    assert np.array_equal(got, ref)
-
-
-def test_reduction_keeps_sign_of_negative_zero():
-    diff = np.array([-0.0 - 0.0])
-    _reduce_angle(diff)
-    assert math.copysign(1.0, diff[0]) == -1.0
-    assert np.mod(-0.0 - 0.0, TWO_PI) == diff[0] == 0.0  # same value: <= and >= agree
+    assert_build_at(-PI, theta)
 
 
 LATTICE = CoverageField(40, 40, 5)  # centroids at 2.5 + 5k
@@ -630,7 +620,6 @@ def after(theta):
 def assert_intervals_exact(bearing, half, lo, hi, extra=()):
     for theta in (lo, before(lo), hi, after(hi), np.zeros_like(lo), np.full_like(lo, LAST), *extra):
         got = interval_test(theta, lo, hi)
-        assert np.array_equal(got, _sensed(bearing, half, TWO_PI - half, theta))
         assert np.array_equal(got, _in_sector(1.0, bearing, theta, half))
 
 
@@ -651,7 +640,7 @@ def test_bisection_gives_the_bracketed_bounds():
     half = np.concatenate([rng.uniform(0.0, PI, 200), np.full(205, 1e-9)])
     half[:4] = [PI - 1e-12, np.nextafter(PI, 0.0), 1e-300, PI / 4]
     lo, hi = _sensing_intervals(bearing, half, False)
-    blo, bhi = _bisect_intervals(bearing, half, TWO_PI - half)
+    blo, bhi = _bisect_intervals(bearing, half)
     assert np.array_equal(lo.view(np.int64), blo.view(np.int64))
     assert np.array_equal(hi.view(np.int64), bhi.view(np.int64))
 
@@ -698,13 +687,13 @@ def test_bounds_next_to_zero_are_exact(bearing, half):
     bearing, half = np.array([bearing]), np.array([half])
     lo, hi = _sensing_intervals(bearing, half, False)
     assert_intervals_exact(bearing, half, lo, hi)
-    blo, bhi = _bisect_intervals(bearing, half, TWO_PI - half)
+    blo, bhi = _bisect_intervals(bearing, half)
     assert np.array_equal(lo, blo) and np.array_equal(hi, bhi)
 
 
 def test_bracket_crossing_zero_falls_back_to_bisection():
     bearing = half = np.array([PI / 4])  # lo is exactly 0
-    _, ok = _bound(bearing, half, TWO_PI - half, bearing - half, rising=True)
+    _, ok = _bound(bearing, half, bearing - half, rising=True)
     assert not ok[0]
     lo, _ = _sensing_intervals(bearing, half, False)
     assert lo[0] == 0.0
@@ -726,7 +715,7 @@ def test_covered_mask_matches_reduction_at_interval_bounds():
         expected = np.zeros(field.grid_count, dtype=bool)
         for i, (idx, bearing, zero) in enumerate(entries):
             half = sensors[i].view_angle / 2.0
-            sensed = zero | _sensed(bearing, half, TWO_PI - half, angles[i])
+            sensed = zero | _in_sector(1.0, bearing, angles[i], half)
             expected[idx[sensed]] = True
             assert subset_grids(ev, i, angles[i]) == sorted(idx[sensed].tolist())
         assert np.array_equal(ev.covered_mask(angles), expected)
@@ -1048,7 +1037,7 @@ def test_run_deltas_keep_counts_equal_to_a_recount(seed, cut):
         def sensed(j, theta):
             _, bearing, zero = entries[j]
             half = sensors[j].view_angle / 2.0
-            return zero | _sensed(bearing, half, TWO_PI - half, theta)
+            return zero | _in_sector(1.0, bearing, theta, half)
 
     counts = np.zeros(ev.grid_count, dtype=np.int32)
     runs = [[(grids, 0, 0, grids.size) for grids in segments] for segments in ev.run_grids]
