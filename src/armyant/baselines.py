@@ -15,6 +15,11 @@ from .optimizer import RunResult, _checked, initialize
 C1, C2 = 2.0, 2.0
 W_MAX, W_MIN = 0.9, 0.4
 
+# random search's coordinates per objective call (128 KiB of float64): enough
+# blocks that NumPy's per-call overhead is small, few enough that a call's
+# arrays stay in cache
+RANDOM_GROUP_COORDS = 2**14
+
 
 def pso_run(objective, space, config, rng, seed_positions=None):
     """Global-best PSO with zero initial velocities and synchronous updates.
@@ -66,20 +71,26 @@ def pso_run(objective, space, config, rng, seed_positions=None):
 def random_search_run(objective, space, config, rng):
     """Uniform sampling null baseline: ``config.max_iters + 1`` blocks.
 
-    Each block is ``config.population`` samples, drawn at once (the same
-    doubles as one draw per sample) and evaluated as one block, so block 0
-    matches an optimizer's initialization and block t its iteration t.
-    ``history`` records the best-so-far after every block. The block's
-    first minimum replaces the best only when strictly lower, so ties keep
-    the earliest sample, as one sample at a time would.
+    Each block is ``config.population`` samples, so block 0 matches an
+    optimizer's initialization and block t its iteration t. Each objective
+    call gets several whole blocks, as many as fit in ``RANDOM_GROUP_COORDS``
+    coordinates (one block when a block alone is larger), drawn at once:
+    the same doubles as one draw per sample. ``history`` records the
+    best-so-far after every block. Each block's first minimum replaces the
+    best only when strictly lower, so ties keep the earliest sample, as one
+    sample at a time would.
     """
     obj = _checked(objective)
+    n, blocks = config.population, config.max_iters + 1
+    per_call = max(1, RANDOM_GROUP_COORDS // (n * space.dim))
     best, best_fit, history = None, math.inf, []
-    for _ in range(config.max_iters + 1):
-        block = space.sample_uniform(rng, config.population)
-        values = obj(block)
-        i = int(np.argmin(values))
-        if values[i] < best_fit:
-            best, best_fit = block[i], float(values[i])
-        history.append(best_fit)
-    return RunResult(best.copy(), best_fit, np.array(history), config.population * len(history))
+    for start in range(0, blocks, per_call):
+        group = space.sample_uniform(rng, min(per_call, blocks - start) * n)
+        values = obj(group).reshape(-1, n)
+        rows = values.argmin(axis=1)
+        mins = values[np.arange(len(rows)), rows]
+        for j, (i, f) in enumerate(zip(rows.tolist(), mins.tolist())):
+            if f < best_fit:
+                best, best_fit = group[j * n + i], f
+            history.append(best_fit)
+    return RunResult(best.copy(), best_fit, np.array(history), n * blocks)

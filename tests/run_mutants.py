@@ -7,11 +7,12 @@ Run from anywhere, for all mutants or the named ones:
 Each mutant replaces one exact text in ``src/armyant`` and breaks one
 invariant that a docstring proves. For each, the script copies ``src/``
 to a temporary directory, applies the mutant there (the checkout is never
-edited) and runs ``tests/test_coverage.py``, ``tests/test_enhance.py``
-and ``tests/test_optimizer.py`` with ``-x -m "not slow"`` against the
-copy. A mutant is killed when the tests fail. The exit status is 1 when
-a mutant survives or its text is not found exactly once. pytest does not
-collect this file; it takes minutes, so it stays out of the test suite.
+edited) and runs ``tests/test_coverage.py``, ``tests/test_enhance.py``,
+``tests/test_optimizer.py`` and ``tests/test_baselines.py`` with
+``-x -m "not slow"`` against the copy. A mutant is killed when the tests
+fail. The exit status is 1 when a mutant survives or its text is not
+found exactly once. pytest does not collect this file; it takes minutes,
+so it stays out of the test suite.
 """
 
 import os
@@ -24,7 +25,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = [str(ROOT / "tests" / name)
-         for name in ("test_coverage.py", "test_enhance.py", "test_optimizer.py")]
+         for name in ("test_coverage.py", "test_enhance.py", "test_optimizer.py",
+                      "test_baselines.py")]
 
 # name, file under src/armyant, exact old text, its replacement, the invariant broken.
 # Left out as equivalent: bucketing the keys, not the queries, by
@@ -97,6 +99,14 @@ MUTANTS = [
      "if (fitness[worse] < prey_fitness[-1]).any():",
      "if (fitness[worse] < prey_fitness[0]).any():",
      "a merge is skipped only when no row lies below the archive's fourth entry"),
+    ("random-tie-later", "baselines.py",
+     "if f < best_fit:",
+     "if f <= best_fit:",
+     "random search's best moves only on a strictly lower value: ties keep the earliest sample"),
+    ("random-row-offset", "baselines.py",
+     "best, best_fit = group[j * n + i], f",
+     "best, best_fit = group[i], f",
+     "block j of an objective call starts at row j * population"),
 ]
 
 

@@ -97,7 +97,16 @@ def random_search_reference(objective, space, population, max_iters, rng):
     return best, best_fit, np.array(history)
 
 
-@pytest.mark.parametrize("population,max_iters", [(4, 1), (9, 1), (30, 10), (31, 10), (29, 10), (5, 8)])
+@pytest.mark.parametrize("population,max_iters", [
+    (4, 1), (9, 1), (30, 10), (31, 10), (29, 10), (5, 8),
+    # 2**14 coordinates per call in 3 dimensions: 182 blocks of 30 per call,
+    # so 401 blocks take calls of 182, 182 and 37
+    (30, 400),
+    # the second call's one block ties the first call's best at its row 27
+    (30, 182),
+    # one block of 5462 x 3 coordinates is more than a call holds
+    (5462, 2),
+])
 def test_random_search_matches_per_sample_loop(population, max_iters):
     space = SearchSpace(np.array([-5.0, 0.0, 1.0]), np.array([5.0, 0.5, 9.0]))
     seen, ref_seen = [], []
@@ -123,18 +132,23 @@ def test_random_search_matches_per_sample_loop(population, max_iters):
 
 
 def test_random_search_ties_keep_the_first_sample():
-    # per block: ties within it (rows 1 and 3) and with the best so far
-    # (block 1 ties 2.0 at rows 0 and 2) keep the earliest sample
-    blocks = iter([[5.0, 2.0, 7.0, 2.0], [2.0, 9.0, 2.0, 3.0], [1.0, 4.0, 1.0, 6.0]])
+    # per block of 4: ties within it (rows 1 and 3) and with the best so far
+    # (block 1 ties 2.0 at rows 0 and 2) keep the earliest sample; the
+    # values are streamed one per row, so they hold however many blocks a
+    # call gets
+    def stream(values):
+        values = iter(values)
+        return lambda x: np.array([next(values) for _ in x])
+
+    values = [5.0, 2.0, 7.0, 2.0, 2.0, 9.0, 2.0, 3.0, 1.0, 4.0, 1.0, 6.0]
     space = SearchSpace.cube(2, 0.0, 1.0)
     config = OptimizerConfig(population=4, max_iters=2)
-    result = random_search_run(lambda x: np.array(next(blocks)), space, config, RandomSource(6))
+    result = random_search_run(stream(values), space, config, RandomSource(6))
     samples = space.sample_uniform(RandomSource(6), 12)
     assert result.history.tolist() == [2.0, 2.0, 1.0]
     assert result.best_position.tobytes() == samples[8].tobytes()
-    blocks = iter([[5.0, 2.0, 7.0, 2.0], [2.0, 9.0, 2.0, 3.0]])
     config = OptimizerConfig(population=4, max_iters=1)
-    result = random_search_run(lambda x: np.array(next(blocks)), space, config, RandomSource(6))
+    result = random_search_run(stream(values[:8]), space, config, RandomSource(6))
     assert result.best_position.tobytes() == samples[1].tobytes()
 
 
@@ -151,4 +165,4 @@ def test_searches_evaluate_contiguous_blocks():
     assert shapes == [(7, 2)] * 6 and result.evaluations == 42
     shapes.clear()
     result = random_search_run(objective, SPACE2, config, RandomSource(1))
-    assert shapes == [(7, 2)] * 6 and result.evaluations == 42
+    assert shapes == [(42, 2)] and result.evaluations == 42  # the six blocks in one call

@@ -109,6 +109,19 @@ def test_block_values_equal_per_point_values_to_the_bit(name, dim, unit):
 
 
 @pytest.mark.parametrize("name", FUNCTION_NAMES)
+def test_blocks_of_any_size_equal_per_point_values(name):
+    # random search scores groups of about 540 rows: a row's value must not
+    # depend on its block's size or its place there, SIMD tails of exp, cos
+    # and sin included
+    f = get_benchmark(name, 30)
+    points = f.box.sample_uniform(RandomSource(8), 546)
+    expected = np.array([f(x) for x in points])
+    for n in (1, 7, 8, 9, 17, 546):
+        assert f(points[:n]).tobytes() == expected[:n].tobytes()
+        assert f(points[-n:]).tobytes() == expected[-n:].tobytes()
+
+
+@pytest.mark.parametrize("name", FUNCTION_NAMES)
 def test_block_and_rowwise_searches_agree(name):
     # the block path and one call per point give bit-identical runs
     f = get_benchmark(name, 30)
