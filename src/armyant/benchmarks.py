@@ -21,23 +21,23 @@ _SCHWEFEL_OFFSET = _SCHWEFEL_X * math.sin(math.sqrt(_SCHWEFEL_X))
 
 
 def sphere(x):
-    return np.sum(x * x, axis=-1)
+    return np.add.reduce(x * x, axis=-1)
 
 
 def rosenbrock(x):
     head, tail = x[..., :-1], x[..., 1:]
-    return np.sum(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
+    return np.add.reduce(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
 def rastrigin(x):
-    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
+    return 10.0 * x.shape[-1] + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
 
 def ackley(x):
     d = x.shape[-1]
     return (
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x, axis=-1) / d))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * x), axis=-1) / d)
+        -20.0 * np.exp(-0.2 * np.sqrt(np.add.reduce(x * x, axis=-1) / d))
+        - np.exp(np.add.reduce(np.cos(2.0 * np.pi * x), axis=-1) / d)
         + 20.0
         + math.e
     )
@@ -45,11 +45,12 @@ def ackley(x):
 
 def griewank(x):
     i = np.arange(1, x.shape[-1] + 1)
-    return np.sum(x * x, axis=-1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=-1) + 1.0
+    product = np.multiply.reduce(np.cos(x / np.sqrt(i)), axis=-1)
+    return np.add.reduce(x * x, axis=-1) / 4000.0 - product + 1.0
 
 
 def schwefel(x):
-    return _SCHWEFEL_OFFSET * x.shape[-1] - np.sum(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
+    return _SCHWEFEL_OFFSET * x.shape[-1] - np.add.reduce(x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
 @dataclass

@@ -21,7 +21,14 @@ from .coverage import (
     with_deviations,
     write_deployment,
 )
-from .harness import compare, compare_cover, write_atomic, write_statistics_csv, write_trace_csv
+from .harness import (
+    compare,
+    compare_cover,
+    write_atomic,
+    write_series_csv,
+    write_statistics_csv,
+    write_trace_csv,
+)
 from .svgplot import render_deployment_svg
 
 
@@ -32,11 +39,7 @@ def _ensure_output_dir(path):
 
 
 def _write_curve_csv(curve, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "covr"])
-        for i, v in enumerate(curve):
-            writer.writerow([i, repr(float(v))])
+    write_series_csv(curve, path, ("iter", "covr"))
 
 
 def run_cover(spec):

@@ -144,9 +144,14 @@ def write_statistics_csv(stats, path):
     write_atomic(path, write, newline="")
 
 
-def write_trace_csv(history, path):
+def write_series_csv(values, path, header):
+    """One row per iteration: the index and the value's ``repr``, under ``header``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "best_fitness"])
-        for i, v in enumerate(history):
+        writer.writerow(header)
+        for i, v in enumerate(values):
             writer.writerow([i, repr(float(v))])
+
+
+def write_trace_csv(history, path):
+    write_series_csv(history, path, ("iter", "best_fitness"))

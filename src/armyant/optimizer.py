@@ -26,10 +26,22 @@ computes nothing there. Objective evaluations consume no draws: one block
 of the whole population after the sweep, plus one block of the bridge
 candidates when the bridge fires.
 
-What a run computes once: the recruit wheel of every iteration, as one
-table (``recruit_wheels``) whose row t has the bytes of the wheel built
-for t alone, since the padding in ``truncated_poisson_pmf`` multiplies
-by 1.0.
+What a run computes once:
+
+- the recruit wheel of every iteration, as one table (``recruit_wheels``)
+  whose row t has the bytes of the wheel built for t alone, since the
+  padding in ``truncated_poisson_pmf`` multiplies by 1.0;
+- that table's cumulative sums, checked once (``cumulative_wheels``). Each
+  row has the bytes of its wheel summed alone, and each iteration spins
+  its row with ``RandomSource.spin``, as ``roulette`` spins one wheel;
+- one buffer of N * 4 * D doubles, since an ant is recruited at most once
+  by each of at most four prey. Each iteration writes its scatter normals
+  into it ant by ant; ``normal(out=...)`` draws the doubles that one
+  ``normal(k * D)`` array per ant would;
+- the prey schedule, as a list.
+
+Each step of an iteration computes in place on a fresh temporary of its
+own, and no array handed to the objective is written afterwards.
 
 The attack is one pass over every ant and active prey, in an (N, P, D)
 layout: a pair where the ant is not recruited by that prey gets zero
@@ -56,6 +68,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rng import cumulative_wheels
 
 ARCHIVE_SIZE = 4
 BRIDGE_EPS = 1e-12
@@ -174,11 +188,14 @@ def recruit(n_prey, wheel, rng):
     prey but appears at most once per prey. Counts for every prey are drawn
     first, then their index selections, in prey order.
     """
-    n = len(wheel) - 1
-    counts = rng.roulette(wheel, size=n_prey).tolist()
+    return select_recruits(rng.roulette(wheel, size=n_prey), len(wheel) - 1, rng)
+
+
+def select_recruits(counts, n, rng):
+    """Per prey, ``counts[j]`` distinct ant indices out of n, sorted, in prey order."""
     return [
         np.sort(rng.choice_without_replacement(n, k)) if k > 0 else np.empty(0, dtype=int)
-        for k in counts
+        for k in counts.tolist()
     ]
 
 
@@ -193,7 +210,7 @@ def scatter_position(prey, ants, eps, space):
     scatter = prey - ants
     scatter *= eps
     scatter += prey  # prey + gap * eps: IEEE addition commutes
-    return space.apply_bounds(scatter)
+    return space.apply_bounds(scatter, out=scatter)
 
 
 def attack_target(scatters, member):
@@ -224,9 +241,14 @@ def step_attack(ants, targets, r, attack_coeff, space):
 
     Ant m's step factor ``r[m]`` in (0, 1] is shared across dimensions; the
     attack coefficient allows overshoot past the target. A step factor of
-    0 leaves the row where it is.
+    0 leaves the row where it is. The step is computed in place as
+    (targets - ants) * (attack_coeff * r) + ants, the factor one product;
+    IEEE addition and multiplication commute.
     """
-    return space.apply_bounds(ants + (attack_coeff * r)[:, None] * (targets - ants))
+    step = targets - ants
+    step *= (attack_coeff * r)[:, None]
+    step += ants
+    return space.apply_bounds(step, out=step)
 
 
 def step_follow(companions, noise, space):
@@ -237,7 +259,11 @@ def step_follow(companions, noise, space):
     are added to +0.0, as ``np.mean`` over them does, so two -0.0 give +0.0.
     """
     first, second = companions
-    return space.apply_bounds((0.0 + (first + noise[0]) + (second + noise[1])) / 2.0)
+    step = first + noise[0]
+    step += 0.0  # 0.0 + row, to the bit: IEEE addition commutes
+    step += second + noise[1]
+    step /= 2.0
+    return space.apply_bounds(step, out=step)
 
 
 def prey_count_raw(t, max_iters):
@@ -371,22 +397,25 @@ def run(objective, space, config, rng, observer=None, seed_positions=None):
     prey, prey_fitness = merge_archive(np.empty((0, d)), np.empty(0), positions, fitness)
     history = [prey_fitness[0]]
     stagnation = 0
-    wheels = recruit_wheels(config)
-    normal, uniform_open = rng.normal, rng.uniform_open
+    wheels = cumulative_wheels(recruit_wheels(config))
+    schedule = [prey_count(t, config.max_iters) for t in range(config.max_iters + 1)]
+    normals = np.empty(n * ARCHIVE_SIZE * d)
+    spin, normal, uniform_open = rng.spin, rng.normal, rng.uniform_open
     choice, cauchy = rng.choice_without_replacement, rng.cauchy
 
     for t in range(1, config.max_iters + 1):
-        active = min(prey_count(t, config.max_iters), len(prey))
-        recruit_map = recruit(active, wheels[t], rng)
+        active = min(schedule[t], len(prey))
+        recruit_map = select_recruits(spin(wheels[t], active), n, rng)
         member = np.zeros((n, active), dtype=bool)
         for j, idx in enumerate(recruit_map):
             member[idx, j] = True
 
         # draw phase: every draw of the sweep, ant by ant; nothing moves yet
-        eps, r, follow = [], [], []
+        filled, r, follow = 0, [], []
         for i, k in enumerate(member.sum(axis=1).tolist()):
             if k:
-                eps.append(normal(k * d))
+                normal(out=normals[filled:filled + k * d])
+                filled += k * d
                 r.append(uniform_open())
             else:
                 # two companions other than ant i, skipping over its index
@@ -397,8 +426,7 @@ def run(objective, space, config, rng, observer=None, seed_positions=None):
         # one attack pass over the padded (N, P, D) layout, then the
         # follower chain over its rows (see the module docstring)
         noise = np.zeros((n, active, d))
-        if eps:
-            noise[member] = np.concatenate(eps).reshape(-1, d)
+        noise[member] = normals[:filled].reshape(-1, d)
         scatters = scatter_position(prey[:active], positions[:, None], noise, space)
         moved = step_attack(
             positions, attack_target(scatters, member), np.array(r), config.attack_coeff, space

@@ -6,7 +6,27 @@ trajectory. Draws are made in a fixed, documented order by the callers;
 nothing here depends on global state.
 """
 
+import math
+
 import numpy as np
+
+
+def cumulative_wheels(weights):
+    """Cumulative table of one roulette wheel, or of several along the last axis.
+
+    Every weight must be finite and non-negative, and every wheel's total
+    positive and finite; the check is made here, once per table, so that
+    ``RandomSource.spin`` can spin a row as often as needed unchecked.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValueError("wheel weights must be finite and non-negative")
+    with np.errstate(over="ignore"):  # an overflowed total is rejected below
+        cum = np.cumsum(weights, axis=-1)
+    total = cum[..., -1]
+    if not np.all((0.0 < total) & (total < math.inf)):
+        raise ValueError("a wheel's weights must have a positive, finite total")
+    return cum
 
 
 class RandomSource:
@@ -29,9 +49,12 @@ class RandomSource:
         """Uniform draws in (0, 1]: zero is excluded, one is attainable."""
         return 1.0 - self._gen.random(size)
 
-    def normal(self, size=None):
-        """Standard Gaussian draws."""
-        return self._gen.standard_normal(size)
+    def normal(self, size=None, out=None):
+        """Standard Gaussian draws, written into the float array ``out`` when given.
+
+        Filling ``out`` draws the same doubles as ``normal(out.size)``.
+        """
+        return self._gen.standard_normal(size, out=out)
 
     def cauchy(self, size=None):
         """Standard Cauchy draws."""
@@ -46,15 +69,20 @@ class RandomSource:
         return self._gen.choice(n, size=k, replace=False)
 
     def roulette(self, pmf, size=None):
-        """Roulette-wheel selection: index i with probability pmf[i].
+        """Roulette-wheel selection: index i with probability pmf[i] / sum(pmf).
 
-        ``pmf`` must be non-negative and sum to ~1; a cumulative-sum wheel is
-        spun with one uniform per draw.
+        ``pmf`` must be finite and non-negative with a positive total (see
+        ``cumulative_wheels``); its cumulative wheel is spun with one uniform
+        per draw.
         """
-        cum = np.cumsum(np.asarray(pmf, dtype=float))
-        if cum[-1] <= 0.0:
-            raise ValueError("pmf must have positive total mass")
+        return self.spin(cumulative_wheels(pmf), size)
+
+    def spin(self, cum, size=None):
+        """Spin a cumulative wheel from ``cumulative_wheels``, unchecked.
+
+        One uniform per draw, scaled by the wheel's own total ``cum[-1]``,
+        selects the first index whose cumulative weight exceeds it.
+        """
         u = self._gen.random(size) * cum[-1]
-        idx = np.searchsorted(cum, u, side="right")
-        idx = np.minimum(idx, len(cum) - 1)
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
         return int(idx) if size is None else idx

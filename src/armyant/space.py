@@ -38,14 +38,16 @@ class SearchSpace:
     def width(self):
         return self.upper - self.lower
 
-    def apply_bounds(self, x):
-        """Return a copy of ``x`` clamped into the box.
+    def apply_bounds(self, x, out=None):
+        """Return ``x`` clamped into the box: a copy, or ``out`` filled in place.
 
-        A coordinate equal to a bound up to the sign of zero takes the
-        bound's bits. ``np.maximum``/``np.minimum`` resolve that tie the
-        same way for every array shape; ``np.clip`` does not.
+        ``out`` may be ``x`` itself. A coordinate equal to a bound up to the
+        sign of zero takes the bound's bits. ``np.maximum``/``np.minimum``
+        resolve that tie the same way for every array shape, in place or
+        not; ``np.clip`` does not.
         """
-        return np.minimum(np.maximum(np.asarray(x, dtype=float), self.lower), self.upper)
+        clamped = np.maximum(np.asarray(x, dtype=float), self.lower, out=out)
+        return np.minimum(clamped, self.upper, out=clamped)
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)

@@ -8,9 +8,9 @@ Each mutant replaces one exact text in ``src/armyant`` and breaks one
 invariant that a docstring proves. For each, the script copies ``src/``
 to a temporary directory, applies the mutant there (the checkout is never
 edited) and runs ``tests/test_coverage.py``, ``tests/test_enhance.py``,
-``tests/test_optimizer.py`` and ``tests/test_baselines.py`` with
-``-x -m "not slow"`` against the copy. A mutant is killed when the tests
-fail. The exit status is 1 when a mutant survives or its text is not
+``tests/test_optimizer.py``, ``tests/test_baselines.py`` and
+``tests/test_rng.py`` with ``-x -m "not slow"`` against the copy. A mutant
+is killed when the tests fail. The exit status is 1 when a mutant survives or its text is not
 found exactly once. pytest does not collect this file; it takes minutes,
 so it stays out of the test suite.
 """
@@ -26,7 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = [str(ROOT / "tests" / name)
          for name in ("test_coverage.py", "test_enhance.py", "test_optimizer.py",
-                      "test_baselines.py")]
+                      "test_baselines.py", "test_rng.py")]
 
 # name, file under src/armyant, exact old text, its replacement, the invariant broken.
 # Left out as equivalent: bucketing the keys, not the queries, by
@@ -88,9 +88,21 @@ MUTANTS = [
      "target = rows[:, 0].copy()",
      "attack_target adds the first row to +0.0, as np.mean does"),
     ("follow-sum-start", "optimizer.py",
-     "(0.0 + (first + noise[0]) + (second + noise[1]))",
-     "((first + noise[0]) + (second + noise[1]))",
+     "    step += 0.0  #",
+     "    pass  #",
      "step_follow adds the two rows to +0.0, as np.mean does"),
+    # only a coefficient that is not a power of two rounds (x * c) * r apart
+    # from x * (c * r): the ties golden's 0.7
+    ("step-factor-two-products", "optimizer.py",
+     "step *= (attack_coeff * r)[:, None]",
+     "step *= attack_coeff\n    step *= r[:, None]",
+     "step_attack scales the gap by one product c * r"),
+    # the recruit wheels sum to 1 only up to rounding, so this one is seen
+    # on a wheel whose total is not 1
+    ("spin-unscaled", "rng.py",
+     "u = self._gen.random(size) * cum[-1]",
+     "u = self._gen.random(size) * 1.0",
+     "a spin scales its uniform by the wheel's own total cum[-1]"),
     ("archive-skip-best", "optimizer.py",
      "if (fitness < prey_fitness[-1]).any():",
      "if (fitness < prey_fitness[0]).any():",

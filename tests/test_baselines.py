@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from armyant.baselines import pso_run, random_search_run
-from armyant.optimizer import OptimizerConfig, rowwise
+from armyant.optimizer import OptimizerConfig, rowwise, run
 from armyant.rng import RandomSource
 from armyant.space import SearchSpace
 
@@ -166,3 +166,29 @@ def test_searches_evaluate_contiguous_blocks():
     shapes.clear()
     result = random_search_run(objective, SPACE2, config, RandomSource(1))
     assert shapes == [(42, 2)] and result.evaluations == 42  # the six blocks in one call
+
+
+@pytest.mark.parametrize("search", ["aaso", "pso", "random"])
+def test_no_search_writes_into_a_block_it_handed_to_the_objective(search):
+    # an objective may keep the blocks it is given; a search that moved its
+    # population in place after evaluating it would change them under it
+    kept = []
+
+    def recording(x):
+        kept.append((x, x.copy()))
+        return np.sum(x * x, axis=1)
+
+    config = OptimizerConfig(population=9, max_iters=30, stagnation_threshold=1)
+    space = SearchSpace.cube(4, -5.12, 5.12)
+    bridges = []
+    if search == "aaso":
+        run(recording, space, config, RandomSource(5),
+            observer=lambda state: bridges.append(state.bridge_position is not None))
+        assert any(bridges)  # the bridge's candidates are among the blocks
+    elif search == "pso":
+        pso_run(recording, space, config, RandomSource(5))
+    else:
+        random_search_run(recording, space, config, RandomSource(5))
+    assert kept
+    for block, copy in kept:
+        assert block.tobytes() == copy.tobytes()

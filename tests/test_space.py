@@ -68,3 +68,21 @@ def test_clamp_resolves_signed_zero_ties_alike_for_every_shape(zero, shape):
         assert space.apply_bounds(row).tobytes() == clamped.tobytes()
         assert np.signbit(clamped[0]) == np.signbit(zero)
         assert np.signbit(clamped[-1]) == np.signbit(zero)
+
+
+@pytest.mark.parametrize("shape", [(3,), (16, 3), (5, 40), (30, 4, 30)])
+def test_clamp_in_place_gives_the_bits_of_the_copy(shape):
+    # the attack and follower steps clamp their own temporaries in place;
+    # ties with a bound up to the sign of zero resolve as in the copy
+    d = shape[-1]
+    lower, upper = np.full(d, -1.0), np.full(d, 1.0)
+    lower[::2], upper[1::2] = -0.0, 0.0
+    space = SearchSpace(lower, upper)
+    x = RandomSource(3).uniform(shape) * 4.0 - 2.0
+    x[..., ::3], x[..., 1::4] = 0.0, -0.0
+    copy = space.apply_bounds(x)
+    inplace = x.copy()
+    assert space.apply_bounds(inplace, out=inplace) is inplace
+    assert inplace.tobytes() == copy.tobytes()
+    out = np.empty(shape)
+    assert space.apply_bounds(x, out=out) is out and out.tobytes() == copy.tobytes()
