@@ -101,34 +101,33 @@ entries wherever H' falls and treats each stretch, a segment, like a
 sensor (``_run_layout``). No sensor of the headline instances needs a cut.
 
 VFA turns one sensor at a time. ``CoverageEvaluator.sensed_subset``
-finds that sensor's a, b and a2 per segment with the lookup below. The
-indicator above is a sum of three steps, at b, a and a2. So a turn from
-(a, b, a2) to (a', b', a2') changes only the entries between an old count
-and its new one: [x < b'] - [x < b] is +1 on [b, b') and -1 on [b', b),
-and the steps at a and a2 enter with the opposite sign (``move_counts``).
-(0, 0, n) senses nothing, so the first pass moves the per-grid counts
-like any turn. The three slices may overlap; integer adds are exact, so
-their order does not matter.
+finds, for each row of a block and each sensor, the sensor's a, b and a2
+per segment with the lookup below; VFA looks up the two turns open to
+every sensor once per sweep. The indicator above is a sum of three
+steps, at b, a and a2. So a turn from (a, b, a2) to (a', b', a2')
+changes only the entries between an old count and its new one:
+[x < b'] - [x < b] is +1 on [b, b') and -1 on [b', b), and the steps at
+a and a2 enter with the opposite sign (``move_counts``). (0, 0, n)
+senses nothing, so the first pass moves the per-grid counts like any
+turn. The three slices may overlap; integer adds are exact, so their
+order does not matter.
 
 The three counts come from one lookup per segment and angle
-(``_RunLookup``). Give each entry the upper key U = H + 1, the pattern
-of the double just past its upper bound, read on [1, S]: H' + 1 for an
-unwrapped interval, H' - S + 1 for a wrapped one and S - 1 for a full
-set (H' - S + 1 too). The patterns are integers, so for an unwrapped
-entry H' < k exactly when U <= k, and for the others H' < k + S exactly
-when U <= k; every unwrapped entry has H' < S <= k + S. A segment's
-merged keys are its L and its U, sorted together. A U equal to S (an
-unwrapped bound at prev(P)) exceeds every k and would never count, so it
-is left out. Let p = #(keys <= k): the first p merged keys are exactly
-those at most k, whatever the order of equal keys. Among them, the lower
-bounds number b and the unwrapped entries' U number a. The other
-p - a - b are the wrapped and full entries with H' < k + S, to which a2
-adds every unwrapped entry: a2 = p - a - b + #unwrapped. Two
-prefix-count tables over the merged keys give b and a at p.
-
-For one segment at one angle (``sensed_subset``), one binary search over
-the segment's merged keys, up to the sentinel S that closes them (below),
-finds p (``_RunLookup.runs_at``).
+(``_RunLookup``), the same for VFA and for the bit-parallel pass below.
+Give each entry the upper key U = H + 1, the pattern of the double just
+past its upper bound, read on [1, S]: H' + 1 for an unwrapped interval,
+H' - S + 1 for a wrapped one and S - 1 for a full set (H' - S + 1 too).
+The patterns are integers, so for an unwrapped entry H' < k exactly when
+U <= k, and for the others H' < k + S exactly when U <= k; every
+unwrapped entry has H' < S <= k + S. A segment's merged keys are its L
+and its U, sorted together. A U equal to S (an unwrapped bound at
+prev(P)) exceeds every k and would never count, so it is left out. Let
+p = #(keys <= k): the first p merged keys are exactly those at most k,
+whatever the order of equal keys. Among them, the lower bounds number b
+and the unwrapped entries' U number a. The other p - a - b are the
+wrapped and full entries with H' < k + S, to which a2 adds every
+unwrapped entry: a2 = p - a - b + #unwrapped. Two prefix-count tables
+over the merged keys give b and a at p.
 
 A block of rows is looked up for all segments and rows at once, and
 finding p takes no search over the whole segment. Segment s puts an
@@ -178,8 +177,6 @@ entries.
 
 import csv
 import math
-import struct
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -301,8 +298,6 @@ _LAST = np.nextafter(TWO_PI, 0.0)
 # measured on random entries lie within two ulps of their estimates
 _REACH = 4 * np.spacing(TWO_PI)
 _CHUNK = 8192  # entries per interval build step
-# a double's bit pattern as a Python int, for ``sensed_subset``'s search
-_DOUBLE, _UINT64 = struct.Struct("<d"), struct.Struct("<Q")
 
 
 def _sensing_intervals(bearing, half, zero):
@@ -500,8 +495,8 @@ class _RunLookup:
     among the segment's first p keys and ``_below`` its unwrapped upper
     keys. The segment's bucket j starts at key position
     ``_buckets[_bucket_first[s] + j]``; no bucket holds more than
-    ``2**_steps`` keys. ``runs`` looks up blocks through the buckets;
-    ``runs_at`` looks up one segment at one angle by binary search.
+    ``2**_steps`` keys. ``runs`` is the one lookup: the bit-parallel pass
+    and VFA's ``sensed_subset`` both call it on blocks of rows.
     """
 
     def __init__(self, start, end, first, stop):
@@ -532,13 +527,6 @@ class _RunLookup:
         self._below = self._prefix(~is_lower & (order < start.size + n_below.sum()), n_below)
         del order
         self._offset = n_unwrapped - self._base
-        # for ``runs_at``: per segment, the positions of its first key and of
-        # its sentinel and its offset, and views that read the key and prefix
-        # arrays as Python ints without a copy
-        sentinel = self._base + size - 1
-        self._spans = list(zip(self._base.tolist(), sentinel.tolist(), self._offset.tolist()))
-        self._key_items, self._lower_items, self._below_items = (
-            memoryview(part) for part in (self._keys, self._lower, self._below))
         # B_s = 2**e buckets of equal angle for at least as many keys; the
         # table runs to the sentinel's bucket floor(P * c_s), B_s or next to
         # it after rounding. Keys are bucketed by the same product as queries
@@ -588,18 +576,6 @@ class _RunLookup:
         b = self._lower.take(at)
         a = self._below.take(at)
         return a, at - a - b + self._offset[:, None], b
-
-    def runs_at(self, s, k):
-        """``runs`` of segment s alone, at the angle whose bit pattern is k < S.
-
-        One binary search over the segment's merged keys, up to its
-        sentinel, finds the position of the first key above k.
-        """
-        first, sentinel, offset = self._spans[s]
-        at = bisect_right(self._key_items, k, first, sentinel)
-        b = self._lower_items[at]
-        a = self._below_items[at]
-        return a, at - a - b + offset, b
 
 
 def is_sensed(sensor, point):
@@ -669,7 +645,7 @@ class CoverageEvaluator:
 
     - ``_lookup``, the segments' merged keys and prefix tables: the one
       copy of the bounds, which both the bit-parallel pass and
-      ``sensed_subset`` read;
+      ``sensed_subset`` look up through ``_runs``;
     - ``run_grids[i]``, views of sensor i's grid indices in run order, one
       per segment, and ``_segment_first[i]``, the number of its first
       segment (a sensor's segments are numbered consecutively);
@@ -710,25 +686,25 @@ class CoverageEvaluator:
         self._grid_starts = np.flatnonzero(np.diff(grids, prepend=-1))
         self._grids = grids[self._grid_starts]
 
-    def sensed_subset(self, sensor_index, theta):
-        """Sensor sensor_index's grids sensed at angle theta, as runs.
+    def sensed_subset(self, angles):
+        """Each sensor's grids sensed at each row of an (n, sensors) block, as runs.
 
-        One tuple ``(grids, a, b, a2)`` per segment of the sensor: ``grids``
-        holds the segment's grid indices in run order, and the sensed ones
-        are ``grids[a:b]`` and ``grids[a2:]`` (module docstring). One
-        binary search per segment, over its merged keys in ``_lookup``,
-        finds a, b and a2. A non-finite angle raises ``ValueError``.
+        Entry ``[r][i]`` holds one tuple ``(grids, a, b, a2)`` per segment
+        of sensor i at angle ``angles[r, i]``: ``grids`` holds the
+        segment's grid indices in run order, and the sensed ones are
+        ``grids[a:b]`` and ``grids[a2:]`` (module docstring). One lookup
+        finds a, b and a2 for every segment and row, as in ``fitness``. A
+        non-finite angle raises ``ValueError`` naming its row and sensor.
         """
-        theta = float(theta)
-        if not math.isfinite(theta):
-            raise ValueError(f"the angle of sensor {sensor_index} must be finite, got {theta!r}")
-        k = _UINT64.unpack(_DOUBLE.pack(canonicalize_scalar(theta)))[0]
-        runs = []
-        first = self._segment_first[sensor_index]
-        for s, grids in enumerate(self.run_grids[sensor_index], first):
-            a, a2, b = self._lookup.runs_at(s, k)
-            runs.append((grids, a, b, a2))
-        return runs
+        block = np.asarray(angles, dtype=float)
+        self._check(block)
+        grids = [part for segments in self.run_grids for part in segments]
+        result = []
+        for a, a2, b in zip(*(part.T.tolist() for part in self._runs(block))):
+            row = list(zip(grids, a, b, a2))
+            result.append([row[f : f + len(segments)]
+                           for f, segments in zip(self._segment_first, self.run_grids)])
+        return result
 
     def _check(self, block):
         """Reject a block that is not (n, sensors) or holds a non-finite angle."""
@@ -741,20 +717,27 @@ class CoverageEvaluator:
                 f"row {row}: the angle of sensor {sensor} must be finite, got {value!r}"
             )
 
-    def _marks(self, block):
-        """The entry positions that a checked block of at most 51 rows marks, and the weights.
+    def _runs(self, block):
+        """Per segment and row of a checked block, the runs ``(a, a2, b)``.
 
-        One lookup finds the runs of every segment and row (module
-        docstring). Row i marks the signed steps of the indicator: +2.0**i
-        at each segment's a and a2, -2.0**i at its b and at its end, as one
-        flat array of run-order positions and one of weights.
+        Each is a (segments, rows) array of positions within the segment:
+        the row's angle for the segment's sensor senses the entries
+        ``[a, b)`` and ``[a2, count)`` (module docstring).
         """
         # the intervals hold for theta in [0, 2*pi); canonicalizing also makes
         # 2*pi and 0 evaluate alike
         theta = canonicalize_angle(block).T.take(self._segment_sensor, axis=0)
-        # per segment and row, the runs [a, b) and [a2, count) as positions
-        # within the segment
-        a, a2, b = self._lookup.runs(theta)
+        return self._lookup.runs(theta)
+
+    def _marks(self, block):
+        """The entry positions that a checked block of at most 51 rows marks, and the weights.
+
+        One lookup finds the runs of every segment and row (``_runs``). Row
+        i marks the signed steps of the indicator: +2.0**i at each
+        segment's a and a2, -2.0**i at its b and at its end, as one flat
+        array of run-order positions and one of weights.
+        """
+        a, a2, b = self._runs(block)
         marks = np.stack([a, a2, b, np.broadcast_to(self._entry_count[:, None], a.shape)])
         marks += self._entry_first[:, None]
         weights = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * 2.0 ** np.arange(len(block))

@@ -131,10 +131,14 @@ def enhance_vfa(sensors, field, max_iters):
     direction of neighbors within ``NEIGHBOR_RADIUS_FACTOR`` times the
     range. It rotates by ``ROTATION_STEP`` in the sign of the weighted sum.
     Sensors update sequentially with incremental per-grid coverage counts:
-    a rotation finds the sensor's runs with ``sensed_subset`` and touches
-    only the grids of the entries whose bounds it crossed
-    (``coverage.move_counts``). ``evaluations`` counts these per-sensor
-    sector recomputations, one ``sensed_subset`` call each.
+    a rotation touches only the grids of the entries whose bounds it
+    crossed (``coverage.move_counts``). Within a sweep a sensor's angle
+    changes only at its own turn, so one ``sensed_subset`` call at the
+    start of the sweep finds every sensor's runs at both turns open to it,
+    and its turn takes the row that its torque picks; one more call
+    before the first sweep senses the deployed angles. ``evaluations``
+    counts the per-sensor sector recomputations: n for the first pass,
+    then one per rotation.
 
     Precomputed once per run: each sensor's neighbor list, and the cosines
     and sines of the bearings of its candidate grids (grids at the sensor's
@@ -153,8 +157,7 @@ def enhance_vfa(sensors, field, max_iters):
         raise ValueError("max_iters must be positive")
     evaluator = CoverageEvaluator(sensors, field)
     n = len(sensors)
-    # Python floats: their ``%`` is np.mod's (see ``canonicalize_scalar``)
-    # and their scalar arithmetic is cheaper than NumPy's
+    # Python floats, whose scalar arithmetic is cheaper than NumPy's
     thetas = [s.deviation for s in sensors]
     cos_sin_t = np.stack([np.cos(thetas), np.sin(thetas)])
 
@@ -172,16 +175,10 @@ def enhance_vfa(sensors, field, max_iters):
         grid_pulls.append((idx[away], np.stack([np.cos(bearing[away]), np.sin(bearing[away])])))
 
     counts = np.zeros(field.grid_count, dtype=np.int32)
-    runs = [[(grids, 0, 0, grids.size) for grids in segments] for segments in evaluator.run_grids]
-
-    def sense(i):
-        # move sensor i's grids in ``counts`` to those it senses at thetas[i]
-        new = evaluator.sensed_subset(i, thetas[i])
-        move_counts(counts, runs[i], new)
-        runs[i] = new
-
-    for i in range(n):
-        sense(i)
+    runs = evaluator.sensed_subset([thetas])[0]
+    for segments, new in zip(evaluator.run_grids, runs):
+        # (grids, 0, 0, grids.size) senses nothing
+        move_counts(counts, [(grids, 0, 0, grids.size) for grids in segments], new)
     evaluations = n
 
     initial_rate = np.count_nonzero(counts) / field.grid_count
@@ -190,6 +187,12 @@ def enhance_vfa(sensors, field, max_iters):
     curve = [best_rate]
 
     for _ in range(max_iters):
+        # row 0 turns every sensor clockwise and row 1 counterclockwise; np.mod
+        # gives the doubles of Python's ``%`` (see ``canonicalize_scalar``)
+        turned = np.array(thetas) + [[-ROTATION_STEP], [ROTATION_STEP]]
+        turned %= TWO_PI
+        subsets = evaluator.sensed_subset(turned)
+        turned = turned.tolist()
         for i, ((idx, cos_sin_b), neighbors) in enumerate(zip(grid_pulls, neighbor_lists)):
             theta = thetas[i]
             attraction = _pull(cos_sin_b.compress(counts[idx] == 0, axis=1), theta)
@@ -197,11 +200,12 @@ def enhance_vfa(sensors, field, max_iters):
             torque = attraction - REPULSION_WEIGHT * repulsion
             if torque == 0.0:
                 continue
-            step = ROTATION_STEP if torque > 0.0 else -ROTATION_STEP
-            thetas[i] = theta = (theta + step) % TWO_PI
+            row = int(torque > 0.0)
+            thetas[i] = theta = turned[row][i]
             cos_sin_t[0, i] = np.cos(theta)
             cos_sin_t[1, i] = np.sin(theta)
-            sense(i)
+            move_counts(counts, runs[i], subsets[row][i])
+            runs[i] = subsets[row][i]
             evaluations += 1
 
         rate = np.count_nonzero(counts) / field.grid_count

@@ -179,20 +179,12 @@ def recruit_wheels(config):
     return truncated_poisson_pmf(lam, config.population)
 
 
-def recruit(n_prey, wheel, rng):
-    """Recruit map for the ``n_prey`` active prey, spinning the recruit ``wheel``.
-
-    Each active prey independently draws its recruit count from the wheel
-    (a pmf over 0..N), then selects that many distinct ant indices
-    uniformly from the whole population of N. An ant may serve several
-    prey but appears at most once per prey. Counts for every prey are drawn
-    first, then their index selections, in prey order.
-    """
-    return select_recruits(rng.roulette(wheel, size=n_prey), len(wheel) - 1, rng)
-
-
 def select_recruits(counts, n, rng):
-    """Per prey, ``counts[j]`` distinct ant indices out of n, sorted, in prey order."""
+    """Per prey, ``counts[j]`` distinct ant indices out of n, sorted, in prey order.
+
+    ``counts`` are the prey's spins of the recruit wheel. An ant may serve
+    several prey but appears at most once per prey.
+    """
     return [
         np.sort(rng.choice_without_replacement(n, k)) if k > 0 else np.empty(0, dtype=int)
         for k in counts.tolist()

@@ -7,6 +7,7 @@ nothing here depends on global state.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -38,7 +39,11 @@ class RandomSource:
     """
 
     def __init__(self, seed):
-        self.seed = int(seed)
+        # int() would truncate 1.7 to 1 and draw seed 1's stream; NumPy integers pass
+        try:
+            self.seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {seed!r}") from None
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, size=None):

@@ -83,6 +83,12 @@ MUTANTS = [
      "branch = (diff < 0.0).astype(np.intp) + (diff < -TWO_PI)",
      "branch = (diff < 0.0).astype(np.intp)",
      "_bisect_intervals numbers np.mod's branches by the multiples of 2*pi added: 0, 1 or 2"),
+    # unreduced, the turned angles drift past [0, 2*pi) and round apart from
+    # Python's ``%`` of each turn; the lookup still canonicalizes them
+    ("vfa-turn-unreduced", "enhance.py",
+     "turned %= TWO_PI",
+     "turned += 0.0",
+     "VFA's turns are reduced as Python's % reduced them, so results stay bit-identical"),
     ("attack-target-copy", "optimizer.py",
      "target = rows[:, 0] + 0.0",
      "target = rows[:, 0].copy()",

@@ -549,12 +549,13 @@ def test_evaluator_boundary_cases_match_reference(view_angle, theta):
     assert np.array_equal(ev.covered_mask(angles), reference)
     assert np.array_equal(ev.covered_mask(angles), ev.covered_mask(canonicalize_angle(angles)))
     entries = candidate_parts(sensors, LATTICE)
+    subsets = subset_grids(ev, angles)
     for i, sensor in enumerate(with_deviations(sensors, angles)):
         idx = entries[i][0]
         expected = [is_sensed(sensor, LATTICE.centroids[g]) for g in idx]
-        assert subset_grids(ev, i, theta) == sorted(idx[expected].tolist())
+        assert subsets[i] == sorted(idx[expected].tolist())
     if view_angle == 2 * PI:
-        assert all(subset_grids(ev, i, theta) == sorted(idx.tolist())
+        assert all(subsets[i] == sorted(idx.tolist())
                    for i, (idx, _, _) in enumerate(entries))
 
 
@@ -565,7 +566,7 @@ def test_evaluator_zero_distance_entry_is_sensed_backwards():
     assert zero.tolist().count(True) == 1
     for theta in (0.0, PI, 4.0):
         assert ev.covered_mask([theta])[idx[zero]].all()
-        assert set(idx[zero].tolist()) <= set(subset_grids(ev, 0, theta))
+        assert set(idx[zero].tolist()) <= set(subset_grids(ev, [theta])[0])
 
 
 # --- exact sensing intervals (module docstring) -------------------------------------
@@ -598,8 +599,9 @@ def grids_of(runs):
     return sorted(g for grids, a, b, a2 in runs for g in [*grids[a:b].tolist(), *grids[a2:].tolist()])
 
 
-def subset_grids(ev, i, theta):
-    return grids_of(ev.sensed_subset(i, theta))
+def subset_grids(ev, angles):
+    """Per sensor, the grids that ``sensed_subset`` finds sensed at one row of angles."""
+    return [grids_of(runs) for runs in ev.sensed_subset([angles])[0]]
 
 
 def entry_intervals(entries, halves):
@@ -713,11 +715,12 @@ def test_covered_mask_matches_reduction_at_interval_bounds():
         else:  # each sensor sits on a bound of one of its entries
             angles = np.array([pick(lo, hi)[rng.integers(lo.size)] for lo, hi in intervals])
         expected = np.zeros(field.grid_count, dtype=bool)
+        subsets = subset_grids(ev, angles)
         for i, (idx, bearing, zero) in enumerate(entries):
             half = sensors[i].view_angle / 2.0
             sensed = zero | _in_sector(1.0, bearing, angles[i], half)
             expected[idx[sensed]] = True
-            assert subset_grids(ev, i, angles[i]) == sorted(idx[sensed].tolist())
+            assert subsets[i] == sorted(idx[sensed].tolist())
         assert np.array_equal(ev.covered_mask(angles), expected)
 
 
@@ -949,9 +952,6 @@ def test_bucketed_lookup_equals_the_three_searches(seed):
                     start[f:e].searchsorted(k[s], side="right"))
         for found, expected in zip((a[s], a2[s], b[s]), searched):
             assert np.array_equal(found, expected)
-        # the scalar form that ``sensed_subset`` calls, one probe at a time
-        scalar = [lookup.runs_at(s, key) for key in k[s].tolist()]
-        assert scalar == list(zip(*(expected.tolist() for expected in searched)))
     # the last sensor's keys fill one bucket; the sentinel has its own
     table = np.split(lookup._buckets, lookup._bucket_first[1:])
     for s in np.flatnonzero(sensors == counts.size - 1):
@@ -1043,7 +1043,12 @@ def test_run_deltas_keep_counts_equal_to_a_recount(seed, cut):
     runs = [[(grids, 0, 0, grids.size) for grids in segments] for segments in ev.run_grids]
 
     def sense(i):
-        new = ev.sensed_subset(i, thetas[i])
+        # sensor i's runs at thetas[i], read from a random row of a block whose
+        # other angles differ, so that a row or sensor mix-up moves the counts
+        block = rng.uniform(-1.0, 7.0, (int(rng.integers(2, 6)), len(sensors)))
+        row = int(rng.integers(len(block)))
+        block[row, i] = thetas[i]
+        new = ev.sensed_subset(block)[row][i]
         move_counts(counts, runs[i], new)
         runs[i] = new
 
@@ -1100,10 +1105,10 @@ def test_covered_mask_result_survives_later_calls():
     ev = CoverageEvaluator(sensors, field)
     first = ev.covered_mask(np.zeros(6))
     snapshot = first.copy()
-    subset = ev.sensed_subset(0, 0.0)
+    subset = ev.sensed_subset([np.zeros(6)])[0][0]
     subset_snapshot = grids_of(subset)
     second = ev.covered_mask(np.full(6, PI))
-    ev.sensed_subset(0, PI)
+    ev.sensed_subset([np.full(6, PI)])
     assert not np.array_equal(first, second)
     assert np.array_equal(first, snapshot)
     assert grids_of(subset) == subset_snapshot
@@ -1130,7 +1135,7 @@ masks = [ev.covered_mask(a) for a in angles]
 def grids_of(runs):
     return sorted(g for grids, a, b, a2 in runs for g in [*grids[a:b].tolist(), *grids[a2:].tolist()])
 
-subsets = [grids_of(ev.sensed_subset(k % 110, a[k % 110])) for k, a in enumerate(angles)]
+subsets = [grids_of(ev.sensed_subset([a])[0][k % 110]) for k, a in enumerate(angles)]
 # two 50-row blocks and one of 60 rows, which takes a 51-row bit-parallel pass and a 9-row one
 blocks = [angles[:50], angles[50:], np.random.default_rng(1).uniform(0.0, 2 * math.pi, (60, 110))]
 values = [ev.fitness(b) for b in blocks]
@@ -1143,7 +1148,7 @@ def work():
     for k, a in enumerate(angles):
         if not np.array_equal(ev.covered_mask(a), masks[k]):
             mismatches.append(("mask", k))
-        if grids_of(ev.sensed_subset(k % 110, a[k % 110])) != subsets[k]:
+        if grids_of(ev.sensed_subset([a])[0][k % 110]) != subsets[k]:
             mismatches.append(("subset", k))
 
 sys.setswitchinterval(1e-6)
@@ -1189,13 +1194,16 @@ def test_non_finite_angles_are_rejected_naming_row_and_sensor(headline, bad):
         ev.fitness(np.full((2, 110), bad))
     value = ev.grid_count / ev.covered_count(deployed)
     assert ev.fitness(np.tile(deployed, (2, 1))).tolist() == [value, value]
-    # VFA's one-sensor path: a NaN used to sense 65 of sensor 0's 343
-    # candidate grids, and an infinite angle none
+    # VFA's path: a NaN used to sense 65 of sensor 0's 343 candidate grids,
+    # and an infinite angle none
     for sensor in (0, 109):
-        with pytest.raises(ValueError, match=f"the angle of sensor {sensor} must be finite, got {bad}"):
-            ev.sensed_subset(sensor, bad)
-    turned = deployed[109] + TWO_PI
-    assert grids_of(ev.sensed_subset(109, turned)) == grids_of(ev.sensed_subset(109, deployed[109]))
+        block = np.tile(deployed, (2, 1))
+        block[1, sensor] = bad
+        with pytest.raises(ValueError, match=f"row 1: the angle of sensor {sensor} must be finite, got {bad}"):
+            ev.sensed_subset(block)
+    turned = deployed.copy()
+    turned[109] += TWO_PI
+    assert grids_of(ev.sensed_subset([turned])[0][109]) == grids_of(ev.sensed_subset([deployed])[0][109])
 
 
 def test_one_block_evaluation_allocates_under_two_megabytes(headline):

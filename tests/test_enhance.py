@@ -127,21 +127,23 @@ def test_vfa_rotates_toward_uncovered_mass():
     assert run.final_rate > run.initial_rate
 
 
-def test_vfa_counts_one_sensed_subset_call_per_evaluation(monkeypatch):
-    # the tracer's ``coverage.subset_calls`` counts VFA's sector recomputations
+def test_vfa_calls_sensed_subset_once_per_sweep(monkeypatch):
+    # one call on the deployed angles, then one per sweep on both turns of
+    # every sensor; the tracer's ``coverage.subset_calls`` counts these calls
     # by wrapping the class attribute in the same way
-    calls = []
+    shapes = []
     sensed_subset = CoverageEvaluator.sensed_subset
 
-    def counted(self, sensor_index, theta):
-        calls.append(sensor_index)
-        return sensed_subset(self, sensor_index, theta)
+    def counted(self, angles):
+        shapes.append(np.shape(angles))
+        return sensed_subset(self, angles)
 
     monkeypatch.setattr(CoverageEvaluator, "sensed_subset", counted)
     field, sensors = headline_instance(seed=5)
     run = enhance_vfa(sensors, field, 15)
-    assert len(calls) == run.evaluations > len(sensors)
-    assert calls[: len(sensors)] == list(range(len(sensors)))
+    n = len(sensors)
+    assert shapes == [(1, n)] + [(2, n)] * 15
+    assert run.evaluations > n
 
 
 def test_pull_row_sums_are_the_one_dimensional_sums():

@@ -184,6 +184,13 @@ def test_compare_cover_failed_deployment_skips_only_its_seed():
     assert all(list(runs) == ["vfa"] for _, runs in deployments.values())
 
 
+def test_compare_cover_lists_a_seed_that_is_not_an_integer():
+    # seeds 1.2 and 1.7 used to pass the repeat check and both run seed 1
+    deployments, failures = compare_cover(deploy, FIELD, ["vfa"], [1.2, 1.7], COVER_CONFIG)
+    assert deployments == {}
+    assert failures == [(seed, "deploy", f"seed must be an integer, got {seed!r}") for seed in (1.2, 1.7)]
+
+
 def test_compare_cover_failed_run_is_listed_and_others_kept():
     deployments, failures = compare_cover(lambda rng: [], FIELD, ["pso", "vfa"], [4], COVER_CONFIG)
     assert failures == [(4, "pso", "need at least one sensor"), (4, "vfa", "need at least one sensor")]

@@ -16,17 +16,17 @@ from armyant.optimizer import (
     merge_archive,
     prey_count,
     prey_count_raw,
-    recruit,
     recruit_wheels,
     round_half_away,
     rowwise,
     run,
     scatter_position,
+    select_recruits,
     step_attack,
     step_follow,
     truncated_poisson_pmf,
 )
-from armyant.rng import RandomSource
+from armyant.rng import RandomSource, cumulative_wheels
 from armyant.space import SearchSpace
 
 
@@ -165,7 +165,8 @@ def test_recruit_count_distribution():
     lam, n_max, n_draws = 1.0, 10, 100000
     pmf = truncated_poisson_pmf(lam, n_max)
     cfg = OptimizerConfig(population=n_max, max_iters=10, recruit_init=lam)
-    recruit_map = recruit(n_draws, recruit_wheels(cfg)[0], RandomSource(17))
+    rng = RandomSource(17)
+    recruit_map = select_recruits(rng.spin(cumulative_wheels(recruit_wheels(cfg))[0], n_draws), n_max, rng)
     counts = np.bincount([len(idx) for idx in recruit_map], minlength=n_max + 1)
     mode = int(np.argmax(counts))
     assert mode in (0, 1)
@@ -178,8 +179,10 @@ def test_recruit_count_distribution():
 def test_recruit_shapes_and_bounds():
     cfg = OptimizerConfig(population=12, max_iters=10)
     active = prey_count(1, cfg.max_iters)  # four prey, as after initialization
+    wheel = cumulative_wheels(recruit_wheels(cfg))[5]
     for seed in range(5):
-        recruit_map = recruit(active, recruit_wheels(cfg)[5], RandomSource(seed))
+        rng = RandomSource(seed)
+        recruit_map = select_recruits(rng.spin(wheel, active), cfg.population, rng)
         assert len(recruit_map) == active
         for idx in recruit_map:
             assert len(set(idx.tolist())) == len(idx)

@@ -16,6 +16,18 @@ def test_different_seed_differs():
     assert not np.array_equal(RandomSource(1).uniform(20), RandomSource(2).uniform(20))
 
 
+def test_a_seed_that_is_not_an_integer_is_rejected():
+    # int() used to truncate it: RandomSource(1.7) drew RandomSource(1)'s
+    # stream, so compare_cover's seeds [1.2, 1.7] passed the repeat check and
+    # ran the same deployment and searches twice
+    for bad in (1.7, 1.0, np.float64(2.0), "3", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RandomSource(bad)
+    for seed in (np.int64(5), np.uint32(5), True):
+        assert RandomSource(seed).uniform() == RandomSource(int(seed)).uniform()
+    assert RandomSource(np.int64(5)).seed == 5 and type(RandomSource(np.int64(5)).seed) is int
+
+
 def test_uniform_open_excludes_zero_includes_one():
     draws = RandomSource(7).uniform_open(200000)
     assert np.all(draws > 0.0) and np.all(draws <= 1.0)
